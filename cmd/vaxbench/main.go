@@ -1,36 +1,21 @@
-// Command vaxbench measures the cost of the reproduction itself — how
-// fast the simulator steps each of the five workload profiles — and
-// appends the result to the BENCH_step.json ledger (see internal/bench).
-// The paper's tables are regenerated by `go test -bench .`; this command
-// tracks simulated cycles per wall second, nanoseconds per cycle, and
-// heap allocations per cycle, the quantities the hotpath/hotbox
-// analyzers exist to protect.
+// Command vaxbench measures the cost of the vaxlint analyzer suite: one
+// module load, one parallel whole-suite run (the shape `make check` pays
+// for), then each analyzer timed alone over the whole tree with its
+// findings count. The result is printed and, with -out, appended to the
+// BENCH_lint.json ledger (see internal/bench) — the suite is 18 analyzers
+// deep and its own cost needs a trajectory.
 //
-// The -farm profile measures the fleet supervisor (internal/farm)
-// instead: aggregate throughput — merged cycles per wall second across a
-// worker pool — with the rescue and shed counts that say what the number
-// covers, appended to the BENCH_farm.json ledger. An optional -chaos
-// script kills workers mid-sweep, so the ledger tracks throughput under
-// rescue, the fleet's realistic operating point, not just the sunny day.
+// Simulator speed is measured by the repo benchmark (perfbench), which
+// takes repeated runs and tags them with the host; the paper's tables
+// are regenerated by `go test -bench .`.
 //
 // Usage:
 //
 //	vaxbench                        # print the table, don't touch the ledger
-//	vaxbench -out BENCH_step.json   # append an entry to the ledger
-//	vaxbench -cycles 500000         # smaller per-profile budget
-//	vaxbench -farm -out BENCH_farm.json            # fleet throughput
-//	vaxbench -farm -chaos "1@6" -out BENCH_farm.json  # ...under worker death
-//	vaxbench -lint -out BENCH_lint.json            # vaxlint suite cost
-//
-// The -lint profile measures the analyzer suite itself: one module load,
-// one parallel whole-suite run (the shape `make check` pays for), then
-// each analyzer timed alone over the whole tree with its findings count,
-// appended to BENCH_lint.json — the suite is now 18 analyzers deep and
-// its own cost needs a trajectory.
+//	vaxbench -out BENCH_lint.json   # append an entry to the ledger
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"runtime"
@@ -39,124 +24,21 @@ import (
 	"vax780/internal/analysis"
 	"vax780/internal/bench"
 	"vax780/internal/cli"
-	"vax780/internal/cpu"
-	"vax780/internal/farm"
-	"vax780/internal/workload"
 )
 
 const name = "vaxbench"
 
-func main() {
-	cycles := flag.Uint64("cycles", 2_000_000, "cycle budget per profile (or per instance with -farm)")
-	out := flag.String("out", "", "ledger file to append to (empty: print only)")
-	farmMode := flag.Bool("farm", false, "measure fleet-supervisor throughput instead of the stepping loop")
-	lintMode := flag.Bool("lint", false, "measure the vaxlint analyzer suite instead of the stepping loop")
-	instances := flag.Int("instances", 10, "machine-instances for -farm")
-	workers := flag.Int("workers", 4, "worker-pool width for -farm")
-	chaos := flag.String("chaos", "", `scripted worker kills for -farm, "worker@chunk" pairs: "0@5,2@9"`)
-	flag.Parse()
-
-	if *farmMode && *lintMode {
-		cli.Exitf(2, name, "-farm and -lint are mutually exclusive")
-	}
-	if *farmMode {
-		benchFarm(*instances, *workers, *cycles, *chaos, *out)
-		return
-	}
-	if *lintMode {
-		benchLint(*out)
-		return
-	}
-
-	entry := bench.Entry{
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		Budget:    *cycles,
-	}
-	fmt.Printf("%-22s %12s %14s %10s %14s %14s\n",
-		"profile", "cycles", "cycles/sec", "ns/cycle", "allocs/cycle", "bytes/cycle")
-	for _, p := range workload.All() {
-		r, err := measure(p, *cycles)
-		cli.Check(name, err)
-		entry.Profiles = append(entry.Profiles, r)
-		fmt.Printf("%-22s %12d %14.0f %10.1f %14.6f %14.3f\n",
-			r.Name, r.Cycles, r.CyclesPerSec, r.NsPerCycle, r.AllocsPerCycle, r.BytesPerCycle)
-	}
-
-	if *out == "" {
-		return
-	}
-	l, err := bench.Load(*out)
-	cli.Check(name, err)
-	l.Append(entry)
-	cli.Check(name, l.Write(*out))
-	fmt.Printf("appended entry %d to %s\n", len(l.Entries), *out)
-}
-
-// benchFarm runs one farm sweep and appends its aggregate throughput to
-// the BENCH_farm.json ledger. The farm stays in memory (no Root): the
-// measurement is supervision overhead and merge cost, not disk. A chaos
-// script is allowed to shed instances — the ledger records it — but a
-// farm that returns a typed failure (pool exhausted) is a benchmark
-// error, not an entry.
-func benchFarm(instances, workers int, cycles uint64, chaos, out string) {
-	kills, err := farm.ParseKills(chaos)
-	cli.Check(name, err)
-	f, err := farm.New(farm.Config{
-		Instances: instances,
-		Workers:   workers,
-		Cycles:    cycles,
-		Kills:     kills,
-	})
-	cli.Check(name, err)
-	start := time.Now()
-	res, err := f.Run(context.Background())
-	elapsed := time.Since(start)
-	cli.Check(name, err)
-
-	sec := elapsed.Seconds()
-	entry := bench.FarmEntry{
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		Budget:    cycles,
-		Chaos:     chaos,
-		Farm: bench.FarmResult{
-			Instances:    instances,
-			Workers:      workers,
-			Seconds:      sec,
-			CyclesMerged: res.Cycles,
-			CyclesPerSec: float64(res.Cycles) / sec,
-			Completed:    res.Completed,
-			Rescued:      res.Rescued,
-			Shed:         res.Shed,
-			WorkersLost:  res.Lost,
-		},
-	}
-	fmt.Printf("%-10s %8s %8s %14s %12s %10s %8s %6s\n",
-		"", "insts", "workers", "cycles", "cycles/sec", "completed", "rescued", "shed")
-	fmt.Printf("%-10s %8d %8d %14d %12.0f %10d %8d %6d\n",
-		"farm", instances, workers, entry.Farm.CyclesMerged, entry.Farm.CyclesPerSec,
-		entry.Farm.Completed, entry.Farm.Rescued, entry.Farm.Shed)
-
-	if out == "" {
-		return
-	}
-	l, err := bench.LoadFarm(out)
-	cli.Check(name, err)
-	l.Append(entry)
-	cli.Check(name, l.Write(out))
-	fmt.Printf("appended entry %d to %s\n", len(l.Entries), out)
-}
-
-// benchLint times the vaxlint suite over the whole module: one shared
-// load (reported separately — it is amortized across the suite in the
-// real `make check`), one whole-suite run the way `make check` runs it
+// main times the suite over the whole module: one shared load (reported
+// separately — it is amortized across the suite in the real `make
+// check`), one whole-suite run the way `make check` runs it
 // (analysis.Run fans the analyzers out in parallel, so on a multi-core
 // host the suite's wall time tracks the slowest analyzer rather than
-// the sum), then each analyzer run
-// alone so its wall time and findings count get their own trajectory in
-// the ledger.
-func benchLint(out string) {
+// the sum), then each analyzer run alone so its wall time and findings
+// count get their own trajectory in the ledger.
+func main() {
+	out := flag.String("out", "", "ledger file to append to (empty: print only)")
+	flag.Parse()
+
 	loadStart := time.Now()
 	pkgs, err := analysis.LoadModule(".", []string{"./..."})
 	cli.Check(name, err)
@@ -192,47 +74,12 @@ func benchLint(out string) {
 		fmt.Printf("%-14s %10.3f %10d\n", a.Name, sec, n)
 	}
 
-	if out == "" {
+	if *out == "" {
 		return
 	}
-	l, err := bench.LoadLint(out)
+	l, err := bench.LoadLint(*out)
 	cli.Check(name, err)
 	l.Append(entry)
-	cli.Check(name, l.Write(out))
-	fmt.Printf("appended entry %d to %s\n", len(l.Entries), out)
-}
-
-// measure boots one profile, then times and meters the stepping loop
-// alone: construction and boot stay outside the window, the collecting
-// monitor (attached in every real measurement) stays inside it.
-func measure(p workload.Profile, cycles uint64) (bench.ProfileResult, error) {
-	s, err := workload.Prepare(p, cycles, cpu.Config{})
-	if err != nil {
-		return bench.ProfileResult{}, err
-	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	res := s.Run(cycles)
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	if res.Err != nil {
-		return bench.ProfileResult{}, fmt.Errorf("workload %s: %w", p.Name, res.Err)
-	}
-	if res.Halted {
-		return bench.ProfileResult{}, fmt.Errorf("workload %s: %w (kernel fatal)", p.Name, workload.ErrUnexpectedHalt)
-	}
-	sec := elapsed.Seconds()
-	c := float64(res.Cycles)
-	return bench.ProfileResult{
-		Name:           p.Name,
-		Cycles:         res.Cycles,
-		Instructions:   res.Instructions,
-		Seconds:        sec,
-		CyclesPerSec:   c / sec,
-		NsPerCycle:     1e9 * sec / c,
-		AllocsPerCycle: float64(after.Mallocs-before.Mallocs) / c,
-		BytesPerCycle:  float64(after.TotalAlloc-before.TotalAlloc) / c,
-	}, nil
+	cli.Check(name, l.Write(*out))
+	fmt.Printf("appended entry %d to %s\n", len(l.Entries), *out)
 }

@@ -46,14 +46,14 @@ var ChanProt = &Analyzer{
 // protSite is one channel operation: direct (send/recv/close/range in
 // this package) or injected from a callee's summary at the call site.
 type protSite struct {
-	kind concOps
-	slot any
-	pos  token.Pos
-	node ast.Node    // enclosing function node (decl or lit)
-	decl *types.Func // enclosing declaration (lits attribute to theirs)
-	via  *types.Func // non-nil: ops imported from this callee's summary
-	stmt ast.Stmt    // innermost block-level statement, for CFG location
-	lit  bool        // site sits inside a function literal
+	kind        concOps
+	slot        any
+	pos         token.Pos
+	node        ast.Node    // enclosing function node (decl or lit)
+	decl        *types.Func // enclosing declaration (lits attribute to theirs)
+	via         *types.Func // non-nil: ops imported from this callee's summary
+	stmt        ast.Stmt    // innermost block-level statement, for CFG location
+	lit         bool        // site sits inside a function literal
 	spawned     bool
 	nonblocking bool // direct comm of a select that has a default arm
 }

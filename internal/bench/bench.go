@@ -1,14 +1,9 @@
-// Package bench is the ledger behind BENCH_step.json and BENCH_farm.json:
-// append-only records of how fast the reproduction itself runs, one entry
-// per `make bench` run. The paper's own tables are regenerated by
-// bench_test.go; these ledgers track the cost of producing them —
-// BENCH_step.json the single-machine stepping loop (simulated cycles per
-// wall second, nanoseconds per cycle, and allocations per cycle for each
-// of the five workload profiles), BENCH_farm.json the fleet supervisor's
-// aggregate throughput (merged cycles per wall second across a worker
-// pool, with rescue and shed counts) — so a regression in either shows up
-// as a diff in a committed file, not as a vague feeling that CI got
-// slower.
+// Package bench is the ledger behind BENCH_lint.json: an append-only
+// record of what the vaxlint analyzer suite costs, one entry per `make
+// lint-bench` run, so a regression in the suite's own cost shows up as a
+// diff in a committed file, not as a vague feeling that CI got slower.
+// Simulator speed is measured by the repo benchmark (perfbench), not
+// ledgered here.
 package bench
 
 import (
@@ -16,58 +11,6 @@ import (
 	"fmt"
 	"os"
 )
-
-// ProfileResult is the measured stepping cost of one workload profile.
-type ProfileResult struct {
-	Name         string  `json:"name"`
-	Cycles       uint64  `json:"cycles"`
-	Instructions uint64  `json:"instructions"`
-	Seconds      float64 `json:"seconds"`
-	CyclesPerSec float64 `json:"cycles_per_sec"`
-	NsPerCycle   float64 `json:"ns_per_cycle"`
-	// AllocsPerCycle and BytesPerCycle are heap-allocation rates over the
-	// whole measured run (runtime.MemStats deltas), the number the
-	// hotpath analyzer exists to drive toward zero.
-	AllocsPerCycle float64 `json:"allocs_per_cycle"`
-	BytesPerCycle  float64 `json:"bytes_per_cycle"`
-}
-
-// Entry is one `make bench` run over all five profiles.
-type Entry struct {
-	Date      string          `json:"date"` // YYYY-MM-DD
-	GoVersion string          `json:"go_version"`
-	Budget    uint64          `json:"cycle_budget"` // per profile
-	Profiles  []ProfileResult `json:"profiles"`
-}
-
-// FarmResult is the measured aggregate throughput of one fleet sweep
-// (cmd/vaxfarm semantics): merged cycles across every completed instance
-// divided by wall-clock, next to the outcome counts that say how much of
-// the fleet the wall-clock actually covered. A throughput "win" bought by
-// shedding instances is visible as such.
-type FarmResult struct {
-	Instances    int     `json:"instances"`
-	Workers      int     `json:"workers"`
-	Seconds      float64 `json:"seconds"`
-	CyclesMerged uint64  `json:"cycles_merged"`
-	// CyclesPerSec is the aggregate fleet throughput: merged cycles per
-	// wall second across all workers (instances × per-machine rate, less
-	// supervision overhead).
-	CyclesPerSec float64 `json:"cycles_per_sec"`
-	Completed    int     `json:"completed"`
-	Rescued      int     `json:"rescued"`
-	Shed         int     `json:"shed"`
-	WorkersLost  int     `json:"workers_lost"`
-}
-
-// FarmEntry is one `vaxbench -farm` run.
-type FarmEntry struct {
-	Date      string     `json:"date"` // YYYY-MM-DD
-	GoVersion string     `json:"go_version"`
-	Budget    uint64     `json:"cycle_budget"` // per instance
-	Chaos     string     `json:"chaos,omitempty"`
-	Farm      FarmResult `json:"farm"`
-}
 
 // AnalyzerCost is the measured cost of one vaxlint analyzer over the
 // whole module: wall time for its passes (the shared load is amortized
@@ -96,55 +39,16 @@ type LintEntry struct {
 	Costs        []AnalyzerCost `json:"costs"`
 }
 
-// Ledger is the whole committed BENCH_step.json file.
-type Ledger struct {
-	Entries []Entry `json:"entries"`
-}
-
 // LintLedger is the whole committed BENCH_lint.json file.
 type LintLedger struct {
 	Entries []LintEntry `json:"entries"`
 }
 
-// FarmLedger is the whole committed BENCH_farm.json file.
-type FarmLedger struct {
-	Entries []FarmEntry `json:"entries"`
-}
-
-// Load reads the stepping-cost ledger at path; a missing file is an empty
-// ledger, any other failure (including malformed JSON) is an error so a
-// corrupted ledger is never silently truncated to one entry.
-func Load(path string) (*Ledger, error) { return loadLedger[Ledger](path) }
-
-// LoadFarm reads the farm-throughput ledger at path under the same
-// missing-file and corruption rules as Load.
-func LoadFarm(path string) (*FarmLedger, error) { return loadLedger[FarmLedger](path) }
-
-// LoadLint reads the analyzer-cost ledger at path under the same
-// missing-file and corruption rules as Load.
-func LoadLint(path string) (*LintLedger, error) { return loadLedger[LintLedger](path) }
-
-// Append adds one run to the ledger.
-func (l *Ledger) Append(e Entry) { l.Entries = append(l.Entries, e) }
-
-// Append adds one farm sweep to the ledger.
-func (l *FarmLedger) Append(e FarmEntry) { l.Entries = append(l.Entries, e) }
-
-// Append adds one suite run to the ledger.
-func (l *LintLedger) Append(e LintEntry) { l.Entries = append(l.Entries, e) }
-
-// Write rewrites the ledger at path, indented and newline-terminated so
-// the committed file diffs line by line.
-func (l *Ledger) Write(path string) error { return writeLedger(path, l) }
-
-// Write rewrites the farm ledger at path, same conventions as Ledger.
-func (l *FarmLedger) Write(path string) error { return writeLedger(path, l) }
-
-// Write rewrites the lint ledger at path, same conventions as Ledger.
-func (l *LintLedger) Write(path string) error { return writeLedger(path, l) }
-
-func loadLedger[L any](path string) (*L, error) {
-	var l L
+// LoadLint reads the analyzer-cost ledger at path; a missing file is an
+// empty ledger, any other failure (including malformed JSON) is an error
+// so a corrupted ledger is never silently truncated to one entry.
+func LoadLint(path string) (*LintLedger, error) {
+	var l LintLedger
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return &l, nil
@@ -158,7 +62,12 @@ func loadLedger[L any](path string) (*L, error) {
 	return &l, nil
 }
 
-func writeLedger(path string, l any) error {
+// Append adds one suite run to the ledger.
+func (l *LintLedger) Append(e LintEntry) { l.Entries = append(l.Entries, e) }
+
+// Write rewrites the ledger at path, indented and newline-terminated so
+// the committed file diffs line by line.
+func (l *LintLedger) Write(path string) error {
 	data, err := json.MarshalIndent(l, "", "  ")
 	if err != nil {
 		return fmt.Errorf("bench: encode ledger: %w", err)

@@ -7,10 +7,10 @@ import (
 )
 
 func TestLedgerRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_step.json")
+	path := filepath.Join(t.TempDir(), "BENCH_lint.json")
 
 	// A missing ledger is empty, not an error.
-	l, err := Load(path)
+	l, err := LoadLint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,45 +18,43 @@ func TestLedgerRoundTrip(t *testing.T) {
 		t.Fatalf("fresh ledger has %d entries", len(l.Entries))
 	}
 
-	l.Append(Entry{
-		Date:      "2026-08-08",
-		GoVersion: "go1.0-test",
-		Budget:    1000,
-		Profiles: []ProfileResult{{
-			Name: "timesharing-research", Cycles: 1000, Instructions: 96,
-			Seconds: 0.5, CyclesPerSec: 2000, NsPerCycle: 500000,
-			AllocsPerCycle: 0.001, BytesPerCycle: 0.25,
-		}},
+	l.Append(LintEntry{
+		Date:         "2026-08-08",
+		GoVersion:    "go1.0-test",
+		Analyzers:    1,
+		LoadSeconds:  1.5,
+		SuiteSeconds: 0.75,
+		Costs:        []AnalyzerCost{{Name: "hotpath", Seconds: 0.5, Findings: 3}},
 	})
 	if err := l.Write(path); err != nil {
 		t.Fatal(err)
 	}
 
 	// Append-on-reload: the second run lands after the first.
-	l2, err := Load(path)
+	l2, err := LoadLint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2.Append(Entry{Date: "2026-08-09", GoVersion: "go1.0-test", Budget: 1000})
+	l2.Append(LintEntry{Date: "2026-08-09", GoVersion: "go1.0-test", Analyzers: 1})
 	if err := l2.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	l3, err := Load(path)
+	l3, err := LoadLint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(l3.Entries) != 2 || l3.Entries[0].Date != "2026-08-08" || l3.Entries[1].Date != "2026-08-09" {
 		t.Fatalf("ledger after two writes: %+v", l3.Entries)
 	}
-	if got := l3.Entries[0].Profiles[0]; got.Name != "timesharing-research" || got.AllocsPerCycle != 0.001 {
-		t.Fatalf("profile row did not round-trip: %+v", got)
+	if got := l3.Entries[0].Costs[0]; got.Name != "hotpath" || got.Findings != 3 || got.Seconds != 0.5 {
+		t.Fatalf("analyzer row did not round-trip: %+v", got)
 	}
 
 	// A corrupted ledger is an error, never silently replaced.
 	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("Load accepted a truncated ledger")
+	if _, err := LoadLint(path); err == nil {
+		t.Fatal("LoadLint accepted a truncated ledger")
 	}
 }

@@ -37,33 +37,33 @@ func TestSnapshotCompleteness(t *testing.T) {
 			name: "cpu.Machine",
 			typ:  reflect.TypeOf(cpu.Machine{}),
 			captured: map[string]string{
-				"R":            "State.R",
-				"PSL":          "State.PSL",
-				"ipr":          "State.IPR",
-				"MMU":          "State.MMU",
-				"Mem":          "State.Mem",
-				"SBI":          "State.SBI",
-				"WB":           "State.WB",
-				"Cache":        "State.Cache",
-				"TLB":          "State.TB",
-				"ib":           "State.IB",
-				"cycle":        "State.Cycle",
-				"instret":      "State.Instret",
-				"upc":          "State.UPC",
-				"gate":         "State.Gate",
-				"irqs":         "State.IRQs",
-				"nextIRQ":      "State.NextIRQ",
-				"lastPCChange": "State.LastPCChange",
-				"patchCtr":     "State.PatchCtr",
-				"wdLastRetire": "State.WDLastRetire",
-				"mcPending":    "State.MCPending",
-				"mcActive":     "State.MCActive",
-				"pendMC":       "State.MCCause + State.MCInfo",
-				"unaligned":    "State.HW",
-				"sirrRequests": "State.HW",
-				"irqDelivered": "State.HW",
-				"exceptions":   "State.HW",
-				"ctxSwitches":  "State.HW",
+				"R":             "State.R",
+				"PSL":           "State.PSL",
+				"ipr":           "State.IPR",
+				"MMU":           "State.MMU",
+				"Mem":           "State.Mem",
+				"SBI":           "State.SBI",
+				"WB":            "State.WB",
+				"Cache":         "State.Cache",
+				"TLB":           "State.TB",
+				"ib":            "State.IB",
+				"cycle":         "State.Cycle",
+				"instret":       "State.Instret",
+				"upc":           "State.UPC",
+				"gate":          "State.Gate",
+				"irqs":          "State.IRQs",
+				"nextIRQ":       "State.NextIRQ",
+				"lastPCChange":  "State.LastPCChange",
+				"patchCtr":      "State.PatchCtr",
+				"wdLastRetire":  "State.WDLastRetire",
+				"mcPending":     "State.MCPending",
+				"mcActive":      "State.MCActive",
+				"pendMC":        "State.MCCause + State.MCInfo",
+				"unaligned":     "State.HW",
+				"sirrRequests":  "State.HW",
+				"irqDelivered":  "State.HW",
+				"exceptions":    "State.HW",
+				"ctxSwitches":   "State.HW",
 				"machineChecks": "State.HW",
 				"mcLost":        "State.HW",
 				"mcByCause":     "State.HW",

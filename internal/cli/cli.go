@@ -1,7 +1,7 @@
 // Package cli holds the error-reporting conventions shared by every
 // command in this repository: failures go to stderr, prefixed with the
 // command name, and the process exits non-zero. Centralizing the helper
-// keeps the seven commands' behavior identical (and testable by grep:
+// keeps every command's behavior identical (and testable by grep:
 // no command formats its own fatal error).
 package cli
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -25,12 +24,9 @@ import (
 // a resumed run would write a value-identical but byte-different file.
 // The deterministic-resume contract promises `cmp`-level equality of the
 // data product, so the encoding must be a pure function of the data.
-//
-// Files written before the format existed (a bare gob stream) still load,
-// without the integrity check.
 
 // ErrCorruptHistogram reports a histogram file that is truncated,
-// padded, or fails its checksum. It is returned (wrapped) by
+// padded, fails its checksum, or is not in this format at all. It is returned (wrapped) by
 // LoadHistogram; the decode never yields a partially-filled histogram.
 var ErrCorruptHistogram = errors.New("corrupt histogram file")
 
@@ -81,8 +77,7 @@ func LoadHistogram(r io.Reader) (*Histogram, error) {
 		return nil, fmt.Errorf("core: reading histogram: %w", err)
 	}
 	if len(data) < histHeaderLen || !bytes.Equal(data[:8], histMagic[:]) {
-		// Not the checksummed format: try the legacy bare-gob form.
-		return loadLegacyHistogram(data)
+		return nil, fmt.Errorf("core: %w: not a histogram file", ErrCorruptHistogram)
 	}
 	n := binary.LittleEndian.Uint64(data[8:16])
 	if uint64(len(data)) != histHeaderLen+n+histTrailerLen {
@@ -106,15 +101,6 @@ func LoadHistogram(r io.Reader) (*Histogram, error) {
 			arr[i] = binary.LittleEndian.Uint64(payload)
 			payload = payload[8:]
 		}
-	}
-	return &h, nil
-}
-
-// loadLegacyHistogram decodes the pre-checksum format: a bare gob stream.
-func loadLegacyHistogram(data []byte) (*Histogram, error) {
-	var h Histogram
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&h); err != nil {
-		return nil, fmt.Errorf("core: %w: not a histogram file: %v", ErrCorruptHistogram, err)
 	}
 	return &h, nil
 }

@@ -38,26 +38,12 @@ func TestHistogramSaveLoadRoundtrip(t *testing.T) {
 	}
 }
 
-func TestHistogramLegacyFormatStillLoads(t *testing.T) {
-	h := testHist()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-		t.Fatalf("gob: %v", err)
-	}
-	got, err := LoadHistogram(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy load: %v", err)
-	}
-	if *got != *h {
-		t.Fatalf("legacy roundtrip changed the histogram")
-	}
-}
-
 // TestHistogramCorruptionMatrix damages a saved histogram every way a
 // disk or transport can — truncation at every eighth of the file, a
 // padding byte, and a flipped byte in each region (header, body,
-// trailer) — and requires every case to fail with ErrCorruptHistogram
-// and yield no histogram.
+// trailer) — plus a bare gob stream, which carries no magic or checksum,
+// and requires every case to fail with ErrCorruptHistogram and yield no
+// histogram.
 func TestHistogramCorruptionMatrix(t *testing.T) {
 	var buf bytes.Buffer
 	if err := testHist().Save(&buf); err != nil {
@@ -97,4 +83,10 @@ func TestHistogramCorruptionMatrix(t *testing.T) {
 	for off := len(data) - histTrailerLen; off < len(data); off++ {
 		mustCorrupt("trailer flip at "+strconv.Itoa(off), flip(off))
 	}
+
+	var gobBuf bytes.Buffer
+	if err := gob.NewEncoder(&gobBuf).Encode(testHist()); err != nil {
+		t.Fatalf("gob: %v", err)
+	}
+	mustCorrupt("bare gob stream", gobBuf.Bytes())
 }

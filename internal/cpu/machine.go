@@ -141,13 +141,13 @@ type Machine struct {
 	// They travel as State.HW: ExportState captures them through the HW()
 	// accessor, an indirection the statecomplete analyzer cannot follow,
 	// so each carries the exemption naming that path.
-	unaligned     uint64 //vaxlint:allow statecomplete -- exported via HW() into State.HW.Unaligned
-	sirrRequests  uint64 //vaxlint:allow statecomplete -- exported via HW() into State.HW.SIRRRequests
-	irqDelivered  uint64 //vaxlint:allow statecomplete -- exported via HW() into State.HW.Interrupts
-	exceptions    uint64 //vaxlint:allow statecomplete -- exported via HW() into State.HW.Exceptions
-	ctxSwitches   uint64 //vaxlint:allow statecomplete -- exported via HW() into State.HW.CtxSwitches
-	machineChecks uint64 //vaxlint:allow statecomplete -- exported via HW() into State.HW.MachineChecks
-	mcLost        uint64 //vaxlint:allow statecomplete -- exported via HW() into State.HW.MachineChecksLost
+	unaligned     uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.Unaligned
+	sirrRequests  uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.SIRRRequests
+	irqDelivered  uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.Interrupts
+	exceptions    uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.Exceptions
+	ctxSwitches   uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.CtxSwitches
+	machineChecks uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.MachineChecks
+	mcLost        uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.MachineChecksLost
 	mcByCause     [NumMCCauses]uint64 //vaxlint:allow statecomplete -- exported via HW() into State.HW.MachineChecksByCause
 
 	// OnInstruction, if set, runs between instructions (used by the OS

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -38,7 +39,7 @@ type Context struct {
 // NewContext measures the composite of the five workloads, cyclesEach
 // cycles per workload.
 func NewContext(cyclesEach uint64, mcfg cpu.Config) (*Context, error) {
-	comp, err := workload.RunComposite(cyclesEach, mcfg)
+	comp, err := workload.RunComposite(context.Background(), cyclesEach, mcfg, workload.Supervisor{}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +47,7 @@ func NewContext(cyclesEach uint64, mcfg cpu.Config) (*Context, error) {
 }
 
 // NewContextFromComposite wraps an already-measured composite (e.g. one
-// assembled by workload.RunCompositeSupervised from checkpointed runs)
+// assembled by workload.RunComposite from checkpointed runs)
 // in an experiment context. Deterministic resume makes the resulting
 // tables bit-identical to an uninterrupted NewContext measurement.
 func NewContextFromComposite(comp *workload.Composite, mcfg cpu.Config) *Context {

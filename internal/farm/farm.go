@@ -50,7 +50,7 @@ type Kill struct {
 }
 
 // ParseKills parses a chaos script of "worker@chunk" pairs ("0@5,2@9"),
-// the spelling both vaxfarm -chaos and vaxbench -chaos accept.
+// the spelling vaxfarm -chaos accepts.
 func ParseKills(spec string) ([]Kill, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
@@ -188,8 +188,8 @@ type Result struct {
 	Rescued   int
 	Shed      int
 	Paused    int
-	Failures  int // failed attempts observed (retried or shed)
-	Lost      int // workers dead at the end
+	Failures  int    // failed attempts observed (retried or shed)
+	Lost      int    // workers dead at the end
 	Cycles    uint64 // cycles contributed to the merge
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,8 +58,8 @@ func runFarm(t *testing.T, cfg Config) *Result {
 }
 
 // expectHists computes the ground truth the farm must reproduce: each
-// instance run alone on a single machine through the plain (unsupervised)
-// path, summed per profile in instance order.
+// instance run alone on a single machine in one uninterrupted slice, with
+// no checkpoints, summed per profile in instance order.
 func expectHists(t *testing.T, cfg Config) []*core.Histogram {
 	t.Helper()
 	f, err := New(cfg)
@@ -70,11 +71,9 @@ func expectHists(t *testing.T, cfg Config) []*core.Histogram {
 		sums[i] = &core.Histogram{}
 	}
 	for _, inst := range f.insts {
-		var plane *fault.Plane
-		if inst.fcfg != nil {
-			plane = fault.NewPlane(*inst.fcfg)
-		}
-		r, err := workload.RunInjected(inst.prof, inst.cycles, cpu.Config{}, plane)
+		r, err := workload.RunSupervised(context.Background(), workload.Spec{
+			Profile: inst.prof, Cycles: inst.cycles, Machine: cpu.Config{}, Fault: inst.fcfg,
+		}, workload.Supervisor{})
 		if err != nil {
 			t.Fatalf("ground-truth run of instance %d: %v", inst.id, err)
 		}
@@ -255,38 +254,72 @@ func TestFarmPauseResume(t *testing.T) {
 	}
 }
 
-// TestFarmRetryAndShed: a deterministically failing instance (control-
-// store parity storm blowing the kernel's machine-check budget) is
-// retried up to its allowance with backoff, then shed with a cause —
-// while healthy instances complete untouched.
-func TestFarmRetryAndShed(t *testing.T) {
+// csParityStorm is a fault plane whose control-store parity storm blows
+// the kernel's machine-check budget: every attempt of every instance
+// fails deterministically.
+func csParityStorm() *fault.Config {
 	var sched [fault.NumPoints]fault.Schedule
 	sched[fault.CSParity] = fault.Schedule{Every: 25}
-	cfg := testConfig(t, 2)
-	cfg.Instances = 2
-	cfg.Fault = &fault.Config{Seed: 3, Sched: sched}
-	cfg.Retries = 1
+	return &fault.Config{Seed: 3, Sched: sched}
+}
 
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+// runStorm runs a two-instance farm under csParityStorm and returns its
+// shed outcomes.
+func runStorm(t *testing.T, cfg Config) []Outcome {
+	t.Helper()
+	cfg.Instances = 2
+	cfg.Fault = csParityStorm()
+	res := runFarm(t, cfg)
+	var shed []Outcome
+	for _, o := range res.Ledger {
+		if o.Status == StatusShed {
+			shed = append(shed, o)
+		}
 	}
-	res, err := f.Run(context.Background())
-	if err != nil {
-		t.Fatalf("farm run: %v", err)
-	}
-	if res.Shed == 0 {
+	if len(shed) == 0 {
 		t.Skip("CS parity storm did not kill the kernel at this geometry")
 	}
-	for _, o := range res.Ledger {
-		if o.Status != StatusShed {
-			continue
-		}
+	return shed
+}
+
+// TestFarmRetryAndShed: a deterministically failing instance is retried
+// up to its allowance with backoff, then shed with a cause. The failure
+// budget covers every attempt either instance can make, so only the
+// retry allowance sheds, however the two workers' attempts interleave.
+func TestFarmRetryAndShed(t *testing.T) {
+	cfg := testConfig(t, 2)
+	cfg.Retries = 1
+	cfg.FailureBudget = 2 * (cfg.Retries + 1)
+	for _, o := range runStorm(t, cfg) {
 		if o.Attempts != cfg.Retries+1 {
 			t.Errorf("instance %d shed after %d attempts, want %d", o.ID, o.Attempts, cfg.Retries+1)
 		}
-		if o.Cause == "" {
-			t.Errorf("instance %d shed without a cause", o.ID)
+		if !strings.HasPrefix(o.Cause, "retries exhausted") {
+			t.Errorf("instance %d shed with cause %q, want retries exhausted", o.ID, o.Cause)
 		}
+	}
+}
+
+// TestFarmFailureBudgetShed: past the farm-wide failure budget every
+// further failure sheds its instance at once, long before its own retry
+// allowance runs out. One worker makes the attempt order fixed: the
+// first failure is retried, the second and third exceed the budget.
+func TestFarmFailureBudgetShed(t *testing.T) {
+	cfg := testConfig(t, 1)
+	cfg.Retries = 5
+	cfg.FailureBudget = 1
+	shed := runStorm(t, cfg)
+	if len(shed) != 2 {
+		t.Fatalf("%d instances shed, want 2", len(shed))
+	}
+	attempts := 0
+	for _, o := range shed {
+		attempts += o.Attempts
+		if !strings.HasPrefix(o.Cause, "failure budget exhausted") {
+			t.Errorf("instance %d shed with cause %q, want failure budget exhausted", o.ID, o.Cause)
+		}
+	}
+	if attempts != cfg.FailureBudget+2 {
+		t.Errorf("%d attempts in all, want %d", attempts, cfg.FailureBudget+2)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"vax780/internal/checkpoint"
 	"vax780/internal/core"
 	"vax780/internal/cpu"
 	"vax780/internal/workload"
@@ -162,24 +161,11 @@ func (w *worker) attempt(inst *instance) (ev event, dead bool) {
 	}
 }
 
-// execute picks the run path for one attempt: resume from the newest
-// checkpoint generation when the instance has one (the rescue path —
-// bit-identical to never having been interrupted), fresh start otherwise.
+// execute runs one attempt: resume from the newest checkpoint generation
+// when the instance has one (the rescue path — bit-identical to never
+// having been interrupted), fresh start otherwise.
 func (w *worker) execute(inst *instance, sup workload.Supervisor) (*workload.Result, error) {
-	if inst.dir != "" {
-		d, err := checkpoint.Open(inst.dir, 0)
-		if err != nil {
-			return nil, fmt.Errorf("instance %d checkpoints: %w", inst.id, err)
-		}
-		gens, err := d.Generations()
-		if err != nil {
-			return nil, fmt.Errorf("instance %d checkpoints: %w", inst.id, err)
-		}
-		if len(gens) > 0 {
-			return workload.ResumeSupervised(w.ctx, inst.dir, sup)
-		}
-	}
-	return workload.RunSupervised(w.ctx, workload.Spec{
+	return workload.RunOrResume(w.ctx, workload.Spec{
 		Profile: inst.prof,
 		Cycles:  inst.cycles,
 		Machine: w.machine,

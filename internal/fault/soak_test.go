@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -145,8 +146,9 @@ func TestZeroRatePlaneIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	injected, err := workload.RunInjected(p, cycles, cpu.Config{},
-		fault.NewPlane(fault.Config{Seed: 12345}))
+	injected, err := workload.RunSupervised(context.Background(), workload.Spec{
+		Profile: p, Cycles: cycles, Machine: cpu.Config{}, Fault: &fault.Config{Seed: 12345},
+	}, workload.Supervisor{})
 	if err != nil {
 		t.Fatal(err)
 	}

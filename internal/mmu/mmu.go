@@ -98,9 +98,9 @@ type Fault struct {
 type FaultKind uint8
 
 const (
-	FaultLength FaultKind = iota // VPN beyond the region's length register
-	FaultInvalid                 // PTE valid bit clear (page fault)
-	FaultRegion                  // reference to the reserved region
+	FaultLength  FaultKind = iota // VPN beyond the region's length register
+	FaultInvalid                  // PTE valid bit clear (page fault)
+	FaultRegion                   // reference to the reserved region
 )
 
 func (f *Fault) Error() string {

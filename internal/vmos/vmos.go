@@ -188,14 +188,14 @@ func (s *System) AddProcess(name string, im *asm.Image) (*Process, error) {
 	ustackTop := totalPages * mmu.PageSize
 
 	w := func(slot int, v uint32) { s.m.Mem.WriteLong(pcb+cpu.PCBOffset(slot), v) }
-	w(0, kstackTop)                  // KSP
-	w(1, ustackTop)                  // USP
-	w(16, im.Org)                    // PC = image org (entry point)
-	w(17, 3<<24|3<<22)               // PSL: user mode, previous user
-	w(18, S0Base+pt)                 // P0BR (system virtual address)
-	w(19, totalPages)                // P0LR
-	w(20, S0Base+pt)                 // P1BR (unused; valid value required)
-	w(21, 0)                         // P1LR
+	w(0, kstackTop)    // KSP
+	w(1, ustackTop)    // USP
+	w(16, im.Org)      // PC = image org (entry point)
+	w(17, 3<<24|3<<22) // PSL: user mode, previous user
+	w(18, S0Base+pt)   // P0BR (system virtual address)
+	w(19, totalPages)  // P0LR
+	w(20, S0Base+pt)   // P1BR (unused; valid value required)
+	w(21, 0)           // P1LR
 
 	p := &Process{
 		PID:     len(s.procs),

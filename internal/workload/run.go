@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 
 	"vax780/internal/cache"
 	"vax780/internal/core"
@@ -13,7 +15,7 @@ import (
 )
 
 // ErrUnexpectedHalt reports a workload that executed a kernel HALT before
-// its cycle budget ran out — a kernel fatal, not a measurement. Typed so
+// its cycle budget ran out — a fatal kernel stop, not a measurement. Typed so
 // callers across the workload boundary can route on it with errors.Is.
 var ErrUnexpectedHalt = errors.New("workload halted unexpectedly")
 
@@ -32,9 +34,8 @@ type Result struct {
 }
 
 // session is one prepared measurement run: a booted system with monitor
-// and (optional) fault plane attached. Both the plain and the supervised
-// run paths build one, and the resume path builds one and then overwrites
-// its state from a snapshot.
+// and (optional) fault plane attached. Every run path builds one; the
+// resume path builds one and then overwrites its state from a snapshot.
 type session struct {
 	p      Profile
 	cycles uint64 // total cycle budget
@@ -96,27 +97,10 @@ func (s *session) result() *Result {
 }
 
 // Run executes one workload for the given cycle budget under a collecting
-// monitor and returns the measurement.
+// monitor and returns the measurement: a supervised run with the zero
+// Supervisor, which is one uninterrupted slice over the whole budget.
 func Run(p Profile, cycles uint64, mcfg cpu.Config) (*Result, error) {
-	return RunInjected(p, cycles, mcfg, nil)
-}
-
-// RunInjected is Run with a fault-injection plane attached to the machine
-// (nil behaves exactly like Run). Injected runs exercise the machine-check
-// path; their tables are NOT comparable with the paper's clean numbers.
-func RunInjected(p Profile, cycles uint64, mcfg cpu.Config, plane *fault.Plane) (*Result, error) {
-	s, err := build(p, cycles, mcfg, plane)
-	if err != nil {
-		return nil, err
-	}
-	res := s.sys.Run(cycles)
-	if res.Err != nil {
-		return nil, fmt.Errorf("workload %s: run: %w", p.Name, res.Err)
-	}
-	if res.Halted {
-		return nil, fmt.Errorf("workload %s: %w (kernel fatal)", p.Name, ErrUnexpectedHalt)
-	}
-	return s.result(), nil
+	return RunSupervised(context.Background(), Spec{Profile: p, Cycles: cycles, Machine: mcfg}, Supervisor{})
 }
 
 // Composite is the sum of the five workloads' histograms — the paper
@@ -127,12 +111,24 @@ type Composite struct {
 	Hist *core.Histogram
 }
 
-// RunComposite measures all five workloads for cyclesEach cycles each and
-// sums their histograms.
-func RunComposite(cyclesEach uint64, mcfg cpu.Config) (*Composite, error) {
+// RunComposite measures all five workloads for cyclesEach cycles each
+// under the supervisor and sums their histograms. A checkpoint directory
+// in sup gets one subdirectory per workload. With resume set, each
+// workload goes through RunOrResume — completed workloads reconstruct
+// their Result from their final snapshot, the interrupted one continues —
+// so a crashed or interrupted composite picks up where it stopped.
+func RunComposite(ctx context.Context, cyclesEach uint64, mcfg cpu.Config, sup Supervisor, resume bool) (*Composite, error) {
+	run := RunSupervised
+	if resume {
+		run = RunOrResume
+	}
 	comp := &Composite{Hist: &core.Histogram{}}
 	for _, p := range All() {
-		r, err := Run(p, cyclesEach, mcfg)
+		sub := sup
+		if sup.CheckpointDir != "" {
+			sub.CheckpointDir = filepath.Join(sup.CheckpointDir, p.Name)
+		}
+		r, err := run(ctx, Spec{Profile: p, Cycles: cyclesEach, Machine: mcfg}, sub)
 		if err != nil {
 			return nil, err
 		}

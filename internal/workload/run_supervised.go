@@ -4,19 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"vax780/internal/checkpoint"
-	"vax780/internal/core"
 	"vax780/internal/cpu"
 	"vax780/internal/fault"
 )
 
 // Run supervision: the paper's measurement sessions ran for about an hour
 // attached to live machines (§2.2); at that scale the measurement
-// infrastructure itself must survive interruption. A supervised run adds,
-// on top of the plain Run loop:
+// infrastructure itself must survive interruption. supervise is the one
+// loop that steps a workload — Run, the composite, vaxsim, vaxrepro and
+// the farm all go through it — and the one place that turns a machine
+// error or an unexpected HALT into a workload error. With the zero
+// Supervisor it is a single RunCtx call over the whole budget; the
+// supervision it provides is:
 //
 //   - cooperative cancellation (context) checked at instruction
 //     boundaries, so SIGINT/SIGTERM and deadlines stop the machine in a
@@ -122,6 +124,27 @@ func RunSupervised(ctx context.Context, spec Spec, sup Supervisor) (*Result, err
 		return nil, err
 	}
 	return s.supervise(ctx, spec.Fault, sup)
+}
+
+// RunOrResume resumes the run checkpointed in sup.CheckpointDir from its
+// newest snapshot generation when there is one, and otherwise starts spec
+// fresh (also when no directory is set). It is the restart rule shared by
+// the resumable composite and the farm's instance attempts.
+func RunOrResume(ctx context.Context, spec Spec, sup Supervisor) (*Result, error) {
+	if sup.CheckpointDir != "" {
+		d, err := checkpoint.Open(sup.CheckpointDir, sup.Keep)
+		if err != nil {
+			return nil, err
+		}
+		gens, err := d.Generations()
+		if err != nil {
+			return nil, err
+		}
+		if len(gens) > 0 {
+			return ResumeSupervised(ctx, sup.CheckpointDir, sup)
+		}
+	}
+	return RunSupervised(ctx, spec, sup)
 }
 
 // ResumeSupervised continues a checkpointed run from the newest loadable
@@ -297,45 +320,4 @@ func (s *session) supervise(ctx context.Context, fcfg *fault.Config, sup Supervi
 		return nil, &Interrupted{Cause: ErrStopRequested, Cycle: m.Cycle(), Checkpoint: lastCkpt}
 	}
 	return s.result(), nil
-}
-
-// RunCompositeSupervised measures the five-workload composite under the
-// supervisor, checkpointing each workload into its own subdirectory of
-// sup.CheckpointDir. With resume set, workloads whose subdirectory holds
-// a loadable snapshot continue from it — completed workloads reconstruct
-// their Result without re-running — so a crashed or interrupted composite
-// picks up where it stopped.
-func RunCompositeSupervised(ctx context.Context, cyclesEach uint64, mcfg cpu.Config, sup Supervisor, resume bool) (*Composite, error) {
-	comp := &Composite{Hist: &core.Histogram{}}
-	for _, p := range All() {
-		sub := sup
-		if sup.CheckpointDir != "" {
-			sub.CheckpointDir = filepath.Join(sup.CheckpointDir, p.Name)
-		}
-		r, err := runOneComposite(ctx, p, cyclesEach, mcfg, sub, resume)
-		if err != nil {
-			return nil, err
-		}
-		comp.Runs = append(comp.Runs, r)
-		comp.Hist.Add(r.Hist)
-	}
-	return comp, nil
-}
-
-func runOneComposite(ctx context.Context, p Profile, cyclesEach uint64, mcfg cpu.Config, sup Supervisor, resume bool) (*Result, error) {
-	if resume && sup.CheckpointDir != "" {
-		d, err := checkpoint.Open(sup.CheckpointDir, sup.Keep)
-		if err != nil {
-			return nil, err
-		}
-		gens, err := d.Generations()
-		if err != nil {
-			return nil, err
-		}
-		if len(gens) > 0 {
-			return ResumeSupervised(ctx, sup.CheckpointDir, sup)
-		}
-		// No generations yet: this workload had not started; fall through.
-	}
-	return RunSupervised(ctx, Spec{Profile: p, Cycles: cyclesEach, Machine: mcfg}, sup)
 }

@@ -5,10 +5,12 @@ import (
 )
 
 // Session is a prepared-but-unstarted measurement run, exposed so the
-// benchmark harness (cmd/vaxbench) and the allocation-contract tests can
+// benchmark harness (perfbench) and the allocation-contract tests can
 // separate the expensive construction — generation, boot, monitor
-// attachment — from the stepping loop they actually measure. Run and
-// RunInjected stay the one-call paths for real measurements.
+// attachment — from the stepping loop they actually measure. Run stays
+// the one-call path for real measurements. Session.Run never enters the
+// supervised loop, so it is also the reference path that
+// TestCheckpointResumeDeterminism checks Run against.
 type Session struct {
 	s *session
 }

@@ -58,11 +58,13 @@ func requireIdentical(t *testing.T, name string, base, resumed *Result) {
 	}
 }
 
-// TestCheckpointResumeDeterminism is the tentpole's central guarantee,
+// TestCheckpointResumeDeterminism is the supervisor's central guarantee,
 // proved for every workload profile: a run stopped at a deterministic
 // mid-point, checkpointed, and resumed in a fresh session produces a
 // bit-identical histogram and identical counters versus a run that was
-// never interrupted.
+// never interrupted. That uninterrupted Run is itself checked against
+// the reference path, Prepare + Session.Run + Result, which steps the
+// machine without the supervised loop.
 func TestCheckpointResumeDeterminism(t *testing.T) {
 	const cycles = 280_000
 	for _, p := range All() {
@@ -73,6 +75,17 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
+
+			// Reference path: the same run stepped through Session,
+			// which never enters the supervised loop.
+			s, err := Prepare(p, cycles, cpu.Config{})
+			if err != nil {
+				t.Fatalf("prepare: %v", err)
+			}
+			if res := s.Run(cycles); res.Err != nil || res.Halted {
+				t.Fatalf("reference run: err=%v halted=%v", res.Err, res.Halted)
+			}
+			requireIdentical(t, p.Name+"/reference", s.Result(), base)
 
 			dir := filepath.Join(t.TempDir(), "ck")
 			sup := Supervisor{
@@ -247,7 +260,7 @@ func TestResumeErrors(t *testing.T) {
 // composite histogram equals the uninterrupted composite's bit for bit.
 func TestCompositeSupervisedResume(t *testing.T) {
 	const cyclesEach = 120_000
-	baseComp, err := RunComposite(cyclesEach, cpu.Config{})
+	baseComp, err := RunComposite(context.Background(), cyclesEach, cpu.Config{}, Supervisor{}, false)
 	if err != nil {
 		t.Fatalf("baseline composite: %v", err)
 	}
@@ -257,14 +270,14 @@ func TestCompositeSupervisedResume(t *testing.T) {
 	// A context cancelled after a couple of workloads' worth of wall time
 	// would be racy; instead interrupt deterministically by running the
 	// composite with a StopAt that wedges the first workload mid-run.
-	_, err = RunCompositeSupervised(context.Background(), cyclesEach, cpu.Config{},
+	_, err = RunComposite(context.Background(), cyclesEach, cpu.Config{},
 		Supervisor{CheckpointDir: dir, CheckpointEvery: cyclesEach / 3, StopAt: cyclesEach / 2}, false)
 	var intr *Interrupted
 	if !errors.As(err, &intr) {
 		t.Fatalf("want *Interrupted from the stop mark, got %v", err)
 	}
 
-	comp, err := RunCompositeSupervised(context.Background(), cyclesEach, cpu.Config{}, sup, true)
+	comp, err := RunComposite(context.Background(), cyclesEach, cpu.Config{}, sup, true)
 	if err != nil {
 		t.Fatalf("composite resume: %v", err)
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"vax780/internal/core"
@@ -109,7 +110,7 @@ func TestRunCompositeSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("composite run in -short mode")
 	}
-	comp, err := RunComposite(400_000, cpu.Config{MemBytes: 4 << 20})
+	comp, err := RunComposite(context.Background(), 400_000, cpu.Config{MemBytes: 4 << 20}, Supervisor{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
