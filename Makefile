@@ -12,7 +12,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build fmt vet lint vaxlint sarif escape-truth latency latency-truth test race soak farmsoak crash-consistency fuzz-smoke bench lint-bench
+.PHONY: check build fmt vet lint vaxlint sarif escape-truth latency latency-truth test race soak farmsoak crash-consistency fuzz-smoke bench lint-bench golden
 
 check: build fmt vet vaxlint escape-truth latency-truth race soak farmsoak crash-consistency fuzz-smoke
 
@@ -62,6 +62,12 @@ latency-truth:
 
 test:
 	$(GO) test ./...
+
+# Rewrite the committed histogram digests (internal/workload/testdata/
+# golden.sha256) that TestGoldenDigests checks in tier-1. Only for a
+# deliberate behaviour change, recorded and explained in CHANGES.md.
+golden:
+	$(GO) test -run '^TestGoldenDigests$$' -count=1 ./internal/workload -args -update
 
 race:
 	$(GO) test -race ./...
