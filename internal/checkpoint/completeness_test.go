@@ -84,6 +84,8 @@ func TestSnapshotCompleteness(t *testing.T) {
 				"csSample":      "attachment derived from the plane",
 				"wdLimit":       "supervisor configuration, re-armed by the supervisor on resume",
 				"OnInstruction": "attachment; vmos re-installs its scheduler hook on boot",
+				"fm":            "derived: memo of mmu.Walk results, emptied when MMU or the memory write generation changes (ImportState bumps it)",
+				"refXlate":      "test hook forcing per-byte mmu.Translate; never set outside tests",
 			},
 		},
 		{
@@ -98,6 +100,7 @@ func TestSnapshotCompleteness(t *testing.T) {
 				"lastCycle":  "State.LastCycle",
 				"lastPCB":    "State.LastPCB",
 				"cpuTime":    "State.CPUTime",
+				"pend":       "State.CPUTime (ExportState folds it into the resident PCB's entry; ImportState restarts it at zero)",
 			},
 			exempt: map[string]string{
 				"cfg":       "the resume path rebuilds the system from the same Config",
@@ -107,6 +110,7 @@ func TestSnapshotCompleteness(t *testing.T) {
 				"nullPCB":   "assigned deterministically by Boot",
 				"nextFrame": "frame allocator is deterministic given the same boot sequence",
 				"booted":    "the resume path boots before importing",
+				"diskReqPA": "resolved by Boot from the deterministic kernel image",
 			},
 		},
 		{
@@ -151,6 +155,8 @@ func TestSnapshotCompleteness(t *testing.T) {
 			},
 			exempt: map[string]string{
 				"inject": "attachment derived from the fault plane",
+				"watch":  "derived: page-table frames marked by the translation memo's walks; ImportState bumps gen, which empties every memo",
+				"gen":    "derived: only compared for change; ImportState bumps it",
 			},
 		},
 		{

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"encoding/binary"
+
 	"vax780/internal/cache"
 	"vax780/internal/mmu"
 	"vax780/internal/tb"
@@ -9,34 +11,120 @@ import (
 // ---------------------------------------------------------------------------
 // Functional (untimed) virtual memory access. The timing model books cache
 // and bus activity separately; data always comes from the memory array,
-// which write-through keeps current. Translation here uses the reference
-// page-table walk, independent of TB state.
+// which write-through keeps current. Every functional translation goes
+// through vtop, once per run of bytes within one 512-byte page.
 
-func (m *Machine) readVirtByte(va uint32) byte {
-	pa, err := mmu.Translate(va, &m.MMU, m.Mem)
+// memoSize is the number of direct-mapped entries in the functional
+// translation memo.
+const memoSize = 64
+
+// memoValid tags a filled memo entry (a VPN with its region bits is at
+// most 23 bits wide).
+const memoValid = uint32(1) << 31
+
+// xlateMemo is the functional path's VPN→page-frame memo. It is not the
+// simulated TB: the TB neither fills nor consults it, so the TB fault
+// plane and the no-flush ablation cannot corrupt data, and it costs no
+// simulated cycles. Its entries are exact copies of mmu.Walk results and
+// stay valid only while (1) the memory-management registers equal regs —
+// which covers MTPR to any base/length register, MAPEN, LDPCTX, a boot
+// that installs new registers and a state import — and (2) the memory's
+// write generation equals gen; every walk watches the frames it read PTEs
+// from, so a store into a page table, a Load or a state import empties
+// the memo.
+type xlateMemo struct {
+	regs mmu.Registers
+	gen  uint64
+	ent  [memoSize]struct{ tag, base uint32 }
+}
+
+// vtop translates va for the functional path.
+func (m *Machine) vtop(va uint32) (uint32, error) {
+	if !m.MMU.Enabled {
+		return va, nil
+	}
+	if m.refXlate {
+		return mmu.Translate(va, &m.MMU, m.Mem)
+	}
+	fm := &m.fm
+	if fm.gen != m.Mem.Gen() || fm.regs != m.MMU {
+		*fm = xlateMemo{regs: m.MMU, gen: m.Mem.Gen()}
+	}
+	tag := va>>mmu.PageShift | memoValid
+	e := &fm.ent[va>>mmu.PageShift%memoSize]
+	if e.tag == tag {
+		return e.base | va&mmu.PageMask, nil
+	}
+	var reads mmu.PTEReads
+	pa, err := mmu.Walk(va, &m.MMU, m.Mem, &reads)
 	if err != nil {
-		m.fail("functional read at %#x: %v", va, err)
-		return 0
+		return 0, err
 	}
-	return m.Mem.Byte(pa)
+	for _, a := range reads.Addr[:reads.N] {
+		m.Mem.Watch(a)
+	}
+	e.tag, e.base = tag, pa&^mmu.PageMask
+	return pa, nil
 }
 
+// pageRun returns how many of the n bytes starting at va one translation
+// covers: those left in va's page, or one on the per-byte reference path.
+func (m *Machine) pageRun(va uint32, n int) int {
+	if m.refXlate {
+		return 1
+	}
+	return min(n, mmu.PageSize-int(va&mmu.PageMask))
+}
+
+// loadVirt fills dst with the bytes at va. A page that fails to translate
+// stops the machine and reads as zeros.
+func (m *Machine) loadVirt(va uint32, dst []byte) {
+	for i := 0; i < len(dst); {
+		a := va + uint32(i)
+		n := m.pageRun(a, len(dst)-i)
+		pa, err := m.vtop(a)
+		if err != nil {
+			m.fail("functional read at %#x: %v", a, err)
+			clear(dst[i : i+n])
+			i += n
+			continue
+		}
+		for end := i + n; i < end; i++ {
+			dst[i] = m.Mem.Byte(pa)
+			pa++
+		}
+	}
+}
+
+// readVirt returns the size bytes (at most 8) at va, little-endian.
 func (m *Machine) readVirt(va uint32, size int) uint64 {
-	var v uint64
-	for i := 0; i < size; i++ {
-		v |= uint64(m.readVirtByte(va+uint32(i))) << (8 * i)
-	}
-	return v
+	var b [8]byte
+	m.loadVirt(va, b[:size])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
+// writeVirt stores the low size bytes of v at va. A byte that lands in a
+// page table may remap the bytes after it, so a store that advances the
+// memory's write generation ends the run and the next byte translates
+// again — the same result as translating every byte.
 func (m *Machine) writeVirt(va uint32, size int, v uint64) {
-	for i := 0; i < size; i++ {
-		pa, err := mmu.Translate(va+uint32(i), &m.MMU, m.Mem)
+	for i := 0; i < size; {
+		a := va + uint32(i)
+		n := m.pageRun(a, size-i)
+		pa, err := m.vtop(a)
 		if err != nil {
 			m.fail("functional write at %#x: %v", va, err)
 			return
 		}
-		m.Mem.SetByte(pa, byte(v>>(8*i)))
+		gen := m.Mem.Gen()
+		for end := i + n; i < end; {
+			m.Mem.SetByte(pa, byte(v>>(8*i)))
+			pa++
+			i++
+			if m.Mem.Gen() != gen {
+				break
+			}
+		}
 	}
 }
 

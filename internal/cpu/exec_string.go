@@ -219,11 +219,10 @@ func loccLike(match bool) execFn {
 	scan:
 		for i < length {
 			span := minInt(4-int((addr+uint32(i))&3), length-i)
-			m.dread(uw.chRead, addr+uint32(i), span)
+			v := m.dread(uw.chRead, addr+uint32(i), span)
 			for j := 0; j < span; j++ {
 				m.ticks(uw.chByte, 2)
-				b := m.readVirtByte(addr + uint32(i))
-				if (b == target) == match {
+				if (byte(v>>(8*j)) == target) == match {
 					found = true
 					break scan
 				}
@@ -252,10 +251,9 @@ func scanLike(stopOnHit bool) execFn {
 	scan:
 		for i < length {
 			span := minInt(4-int((addr+uint32(i))&3), length-i)
-			m.dread(uw.chRead, addr+uint32(i), span)
+			v := m.dread(uw.chRead, addr+uint32(i), span)
 			for j := 0; j < span; j++ {
-				b := m.readVirtByte(addr + uint32(i))
-				t := byte(m.dread(uw.chRead, table+uint32(b), 1))
+				t := byte(m.dread(uw.chRead, table+uint32(byte(v>>(8*j))), 1))
 				m.tick(uw.chByte)
 				if (t&mask != 0) == stopOnHit {
 					found = true

@@ -95,6 +95,9 @@ type Machine struct {
 	TLB   *tb.TB
 	MMU   mmu.Registers
 
+	fm       xlateMemo //vaxlint:allow statecomplete -- derived: a memo of mmu.Walk results, emptied whenever MMU or the memory write generation (bumped by ImportState) changes
+	refXlate bool      //vaxlint:allow statecomplete -- test hook: translate every functional byte with mmu.Translate (the reference path); never set outside tests
+
 	// Architectural state.
 	R   [16]uint32 // R15 (PC) is shadowed by the IB pointer; see PCVal
 	PSL uint32
@@ -152,8 +155,14 @@ type Machine struct {
 
 	// OnInstruction, if set, runs between instructions (used by the OS
 	// layer for scheduling decisions and by the RTE for terminal events).
-	OnInstruction func(m *Machine) //vaxlint:allow statecomplete -- attachment; vmos re-installs its scheduler hook on boot
+	OnInstruction InstructionHook //vaxlint:allow statecomplete -- attachment; vmos re-installs its scheduler hook on boot
 }
+
+// InstructionHook is the type of Machine.OnInstruction. It is a named
+// type so the hot-path analyzers (DESIGN.md §13) follow the call in
+// RunCtx into every function installed as a hook: a hook runs once per
+// instruction and is held to the same contract as the stepping loop.
+type InstructionHook func(m *Machine)
 
 // New builds a machine.
 func New(cfg Config) *Machine {
@@ -233,10 +242,16 @@ func (m *Machine) SetPC(va uint32) { m.ib.redirect(va) }
 // in any time order; each is inserted at its place in the pending queue
 // (but never before a request that was already delivered).
 func (m *Machine) QueueIRQ(q IRQ) {
+	if m.nextIRQ == len(m.irqs) {
+		// Every queued request has been delivered: start over at the
+		// front, so the array stops growing at the peak number pending.
+		m.irqs, m.nextIRQ = m.irqs[:0], 0
+	}
 	i := len(m.irqs)
 	for i > m.nextIRQ && m.irqs[i-1].At > q.At {
 		i--
 	}
+	//vaxlint:allow hotpath -- once per device request (clock, terminal, disk), not per cycle; the queue restarts when drained, so growth stops at the peak number of pending requests
 	m.irqs = append(m.irqs, IRQ{})
 	copy(m.irqs[i+1:], m.irqs[i:])
 	m.irqs[i] = q

@@ -42,9 +42,21 @@ type Fault struct {
 	Addr uint32 // physical address of the failing reference
 }
 
+// frameShift is log2 of the page-frame size the write generation watches
+// at: the VAX's 512-byte page (mmu.PageShift).
+const frameShift = 9
+
 // Memory is the physical memory array (the paper's machines had 8 MB).
 type Memory struct {
 	data []byte
+
+	// watch marks the frames holding page-table entries that a
+	// functional translation memo depends on (Watch); gen counts the
+	// writes that may have changed one (Gen). Neither is snapshot state:
+	// a memo treats any generation change as "flush everything", and
+	// ImportState advances the generation.
+	watch []uint64 //vaxlint:allow statecomplete -- derived: marks set by the translation memo's walks; ImportState bumps gen, which empties every memo
+	gen   uint64   //vaxlint:allow statecomplete -- derived: only compared for change; ImportState bumps it
 
 	inject   func() bool //vaxlint:allow statecomplete -- attachment derived from the fault plane (RDS sampler, nil = never)
 	fault    Fault
@@ -53,11 +65,34 @@ type Memory struct {
 
 // New returns a physical memory of the given size in bytes.
 func New(size uint32) *Memory {
-	return &Memory{data: make([]byte, size)}
+	frames := (uint64(size) + 1<<frameShift - 1) >> frameShift
+	return &Memory{data: make([]byte, size), watch: make([]uint64, (frames+63)/64)}
 }
 
 // Size returns the memory size in bytes.
 func (m *Memory) Size() uint32 { return uint32(len(m.data)) }
+
+// Watch marks the frame(s) holding the longword at pa as page-table
+// frames: from now on any write into them advances the write generation.
+// Marks are never cleared; an out-of-range pa is ignored.
+func (m *Memory) Watch(pa uint32) {
+	for _, a := range [2]uint32{pa, pa + 3} {
+		if f := a >> frameShift; int(f>>6) < len(m.watch) {
+			m.watch[f>>6] |= 1 << (f & 63)
+		}
+	}
+}
+
+// Gen returns the write generation: it advances on every write into a
+// watched frame, every Load and every ImportState, so a translation
+// memoized at one generation is known exact while Gen still returns it.
+func (m *Memory) Gen() uint64 { return m.gen }
+
+// watched reports whether pa lies in a watched frame; pa must be in range.
+func (m *Memory) watched(pa uint32) bool {
+	f := pa >> frameShift
+	return m.watch[f>>6]&(1<<(f&63)) != 0
+}
 
 // SetInjector installs an RDS fault sampler consulted once per read
 // reference (nil removes it). See internal/fault.
@@ -125,6 +160,9 @@ func (m *Memory) SetByte(pa uint32, v byte) {
 	if !m.check(pa, 1) {
 		return
 	}
+	if m.watched(pa) {
+		m.gen++
+	}
 	m.data[pa] = v
 }
 
@@ -132,6 +170,9 @@ func (m *Memory) SetByte(pa uint32, v byte) {
 func (m *Memory) WriteLong(pa uint32, v uint32) {
 	if !m.check(pa, 4) {
 		return
+	}
+	if m.watched(pa) || m.watched(pa+3) {
+		m.gen++
 	}
 	m.data[pa] = byte(v)
 	m.data[pa+1] = byte(v >> 8)
@@ -144,6 +185,7 @@ func (m *Memory) Load(pa uint32, b []byte) {
 	if !m.check(pa, len(b)) {
 		return
 	}
+	m.gen++
 	copy(m.data[pa:], b)
 }
 

@@ -159,12 +159,29 @@ func (r *Registers) PTEAddr(va uint32) (PTERef, error) {
 	return PTERef{}, fault(va, FaultRegion, "VA bits 31:30 = 3")
 }
 
+// PTEReads lists the physical addresses of the page-table entries one
+// walk read, in walk order: the system PTE that maps a process page table
+// (process regions only), then the page's own PTE.
+type PTEReads struct {
+	Addr [2]uint32
+	N    int
+}
+
 // Translate performs a complete architectural translation of va using a
 // physical-memory reader, including the nested system-space walk for
 // process-region addresses. It is the reference implementation used by the
 // loader, the console, and tests; the timed microcode routine in
-// internal/ebox performs the same steps as individual timed reads.
+// internal/cpu performs the same steps as individual timed reads.
 func Translate(va uint32, r *Registers, mem LongReader) (uint32, error) {
+	return Walk(va, r, mem, nil)
+}
+
+// Walk is Translate that also records, when reads is non-nil, which
+// page-table entries it read (none with translation disabled). A caller
+// that memoizes the result must treat it as stale once any of those
+// longwords, or the registers, change: internal/cpu's functional
+// translation memo watches their frames.
+func Walk(va uint32, r *Registers, mem LongReader, reads *PTEReads) (uint32, error) {
 	if !r.Enabled {
 		return va, nil
 	}
@@ -180,12 +197,20 @@ func Translate(va uint32, r *Registers, mem LongReader) (uint32, error) {
 			return 0, err
 		}
 		sysPTE := mem.ReadLong(sysRef.Addr)
+		if reads != nil {
+			reads.Addr[reads.N] = sysRef.Addr
+			reads.N++
+		}
 		if !Valid(sysPTE) {
 			return 0, fault(pteAddr, FaultInvalid, "system PTE for process page table")
 		}
 		pteAddr = PFN(sysPTE)<<PageShift | (pteAddr & PageMask)
 	}
 	pte := mem.ReadLong(pteAddr)
+	if reads != nil {
+		reads.Addr[reads.N] = pteAddr
+		reads.N++
+	}
 	if !Valid(pte) {
 		return 0, fault(va, FaultInvalid, "page PTE")
 	}

@@ -36,7 +36,7 @@ func TestPTEBits(t *testing.T) {
 
 // buildTables sets up: S0 pages identity-mapped to low memory; a P0 page
 // table living in S0 space.
-func buildTables(t *testing.T, m *mem.Memory) *Registers {
+func buildTables(t testing.TB, m *mem.Memory) *Registers {
 	t.Helper()
 	const (
 		sbr       = 0x10000 // physical address of system page table
@@ -129,5 +129,50 @@ func TestPropertyTranslatePreservesOffset(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestWalkReportsPTEReads(t *testing.T) {
+	m := mem.New(1 << 20)
+	r := buildTables(t, m)
+	walk := func(va uint32) (PTEReads, error) {
+		var reads PTEReads
+		_, err := Walk(va, r, m, &reads)
+		return reads, err
+	}
+	// S0: one read, the system PTE of page 5.
+	if reads, err := walk(0x80000000 + 5*PageSize); err != nil || reads.N != 1 || reads.Addr[0] != r.SBR+4*5 {
+		t.Errorf("S0 walk: reads=%+v err=%v", reads, err)
+	}
+	// P0: the system PTE mapping the page table (S0 page 100), then the
+	// process PTE of page 3 in frame 100.
+	reads, err := walk(3 * PageSize)
+	want := PTEReads{Addr: [2]uint32{r.SBR + 4*100, 100*PageSize + 4*3}, N: 2}
+	if err != nil || reads != want {
+		t.Errorf("P0 walk: reads=%+v err=%v, want %+v", reads, err, want)
+	}
+	// A faulting walk still reports what it read before the fault.
+	m.WriteLong(100*PageSize+4*2, 0)
+	if reads, err := walk(2 * PageSize); err == nil || reads.N != 2 {
+		t.Errorf("invalid-PTE walk: reads=%+v err=%v", reads, err)
+	}
+}
+
+// BenchmarkTranslate times the reference walk: one PTE read for a system
+// address, two (the nested system-table walk) for a process address.
+func BenchmarkTranslate(b *testing.B) {
+	m := mem.New(1 << 20)
+	r := buildTables(b, m)
+	for _, c := range []struct {
+		name string
+		va   uint32
+	}{{"S0", 0x80000000 + 5*PageSize + 7}, {"P0", 3*PageSize + 9}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Translate(c.va, r, m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -41,11 +41,18 @@ func (s *System) ExportState() (State, error) {
 		DiskDue:    append([]uint64(nil), s.diskDue...),
 		LastCycle:  s.lastCycle,
 		LastPCB:    s.lastPCB,
-		CPUTime:    make(map[uint32]uint64, len(s.cpuTime)),
+		CPUTime:    make(map[uint32]uint64, len(s.cpuTime)+1),
 	}
 	//vaxlint:allow determinism -- map-to-map copy: the result is a map again, so iteration order cannot reach the snapshot bytes or any simulated state
 	for pcb, t := range s.cpuTime {
 		st.CPUTime[pcb] = t
+	}
+	// The resident process's charge since it became resident is still
+	// pending; the snapshot holds it folded in, as the table it replaces
+	// did. (pend is zero only right after a switch, when that table had
+	// not yet charged the new process either.)
+	if s.pend != 0 {
+		st.CPUTime[s.lastPCB] += s.pend
 	}
 	return st, nil
 }
@@ -64,6 +71,7 @@ func (s *System) ImportState(st State) error {
 	s.diskDue = append([]uint64(nil), st.DiskDue...)
 	s.lastCycle = st.LastCycle
 	s.lastPCB = st.LastPCB
+	s.pend = 0
 	s.cpuTime = make(map[uint32]uint64, len(st.CPUTime))
 	//vaxlint:allow determinism -- map-to-map copy: the restored accounting table is order-independent; no simulated state observes the iteration
 	for pcb, t := range st.CPUTime {

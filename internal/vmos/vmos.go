@@ -85,10 +85,15 @@ type System struct {
 	termNext   int
 	diskSeen   uint32   // disk requests already scheduled
 	diskDue    []uint64 // pending disk completion times
+	diskReqPA  uint32   //vaxlint:allow statecomplete -- physical address of the kernel's disk-request counter, resolved by Boot from the deterministic kernel image
 
 	// Per-process CPU accounting (by resident PCB between instructions).
+	// pend is the resident process's charge not yet folded into cpuTime:
+	// the hook folds it only when the resident PCB changes, and
+	// ExportState/CPUTime add it in.
 	lastCycle uint64
 	lastPCB   uint32
+	pend      uint64
 	cpuTime   map[uint32]uint64 // PCB -> cycles charged
 
 	booted bool
@@ -314,6 +319,7 @@ func (s *System) Boot() error {
 	s.startProcess(first)
 
 	s.nextClock = s.cfg.ClockInterval
+	s.diskReqPA = kernPhys + kern.MustAddr("diskreq") - kern.Org
 	s.cpuTime = make(map[uint32]uint64)
 	s.lastPCB = s.m.IPR(cpu.IPRSlotPCBB)
 	s.m.OnInstruction = s.onInstruction
@@ -343,13 +349,17 @@ const (
 )
 
 // onInstruction drives the devices, the null-process monitor gate, and
-// per-process CPU accounting.
+// per-process CPU accounting. It runs once per instruction, so it holds
+// the stepping loop's hot-path contract: no map or string work outside a
+// context switch.
 func (s *System) onInstruction(m *cpu.Machine) {
 	now := m.Cycle()
 	// Charge the elapsed cycles to the process that was resident.
-	s.cpuTime[s.lastPCB] += now - s.lastCycle
+	s.pend += now - s.lastCycle
 	s.lastCycle = now
-	s.lastPCB = m.IPR(cpu.IPRSlotPCBB)
+	if pcb := m.IPR(cpu.IPRSlotPCBB); pcb != s.lastPCB {
+		s.switchAccount(pcb)
+	}
 	if now >= s.nextClock {
 		m.QueueIRQ(cpu.IRQ{At: now, IPL: cpu.IPLClock, Vector: cpu.SCBClock})
 		for s.nextClock <= now {
@@ -362,18 +372,29 @@ func (s *System) onInstruction(m *cpu.Machine) {
 	}
 	// Disk: the kernel counts requests in its data area; each schedules a
 	// completion interrupt DiskLatency cycles out.
-	if req := s.kernelCounter("diskreq"); req > s.diskSeen {
+	if req := m.Mem.ReadLong(s.diskReqPA); req > s.diskSeen {
 		for ; s.diskSeen < req; s.diskSeen++ {
+			//vaxlint:allow hotpath -- once per disk request, not per instruction; completions are popped in place, so growth stops at the peak number outstanding
 			s.diskDue = append(s.diskDue, now+s.cfg.DiskLatency)
 		}
 	}
 	for len(s.diskDue) > 0 && s.diskDue[0] <= now {
 		m.QueueIRQ(cpu.IRQ{At: now, IPL: cpu.IPLDisk, Vector: cpu.SCBDiskDevice})
-		s.diskDue = s.diskDue[1:]
+		s.diskDue = s.diskDue[:copy(s.diskDue, s.diskDue[1:])]
 	}
 	if s.nullPCB != 0 {
 		m.SetMonitorGate(m.IPR(cpu.IPRSlotPCBB) != s.nullPCB)
 	}
+}
+
+// switchAccount folds the outgoing process's pending charge into the
+// per-PCB table and makes pcb the resident process.
+//
+//vaxlint:allow hotpath -- cold: runs only when the resident PCB changes, i.e. on a context switch (a Table 7 event), not per instruction
+func (s *System) switchAccount(pcb uint32) {
+	s.cpuTime[s.lastPCB] += s.pend
+	s.pend = 0
+	s.lastPCB = pcb
 }
 
 // Run executes for a cycle budget.
@@ -420,7 +441,13 @@ func (s *System) MachineCheckCause(cause cpu.MCCause) uint32 {
 // CPUTime returns the cycles charged to a process (including kernel time
 // spent on its behalf; interrupt service is charged to whoever was
 // resident, as with simple OS accounting).
-func (s *System) CPUTime(p *Process) uint64 { return s.cpuTime[p.PCB] }
+func (s *System) CPUTime(p *Process) uint64 {
+	t := s.cpuTime[p.PCB]
+	if p.PCB == s.lastPCB {
+		t += s.pend
+	}
+	return t
+}
 
 // kernelCounter reads a longword counter from the kernel's data area.
 func (s *System) kernelCounter(label string) uint32 {

@@ -1,6 +1,7 @@
 package vmos
 
 import (
+	"reflect"
 	"testing"
 
 	"vax780/internal/asm"
@@ -235,5 +236,43 @@ func TestPerProcessCPUAccounting(t *testing.T) {
 	// accounting granularity take the rest).
 	if float64(total) < 0.8*float64(res.Cycles) {
 		t.Errorf("accounted %d of %d cycles", total, res.Cycles)
+	}
+}
+
+// TestCPUAccountingMatchesPerInstructionTable checks the folded
+// accounting against the table it replaced, which charged the resident
+// PCB's map entry on every instruction: at every boundary sampled, the
+// snapshot's CPUTime and each process's CPUTime must equal that table
+// exactly, key for key.
+func TestCPUAccountingMatchesPerInstructionTable(t *testing.T) {
+	s, _ := buildSystem(t, 3)
+	m := s.Machine()
+	want := map[uint32]uint64{}
+	lastCycle, lastPCB := uint64(0), m.IPR(cpu.IPRSlotPCBB)
+	hook := m.OnInstruction
+	m.OnInstruction = func(m *cpu.Machine) {
+		want[lastPCB] += m.Cycle() - lastCycle
+		lastCycle, lastPCB = m.Cycle(), m.IPR(cpu.IPRSlotPCBB)
+		hook(m)
+	}
+	for i := 0; i < 40; i++ {
+		if res := s.Run(50_000 + uint64(i)*997); res.Err != nil || res.Halted {
+			t.Fatalf("run: halted=%v err=%v", res.Halted, res.Err)
+		}
+		st, err := s.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st.CPUTime, want) {
+			t.Fatalf("boundary %d: snapshot CPUTime %v, per-instruction table %v", i, st.CPUTime, want)
+		}
+		for _, p := range s.Processes() {
+			if got := s.CPUTime(p); got != want[p.PCB] {
+				t.Fatalf("boundary %d: CPUTime(%d) = %d, want %d", i, p.PID, got, want[p.PCB])
+			}
+		}
+	}
+	if s.CtxSwitches() == 0 {
+		t.Fatal("no context switch: the fold was never exercised")
 	}
 }
