@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"vax780/internal/cpu"
+	"vax780/internal/fault"
 )
 
 // updateGolden rewrites the committed digests instead of checking them
@@ -26,7 +27,23 @@ const (
 	// goldenCompositeCycles is the per-profile budget of the composite
 	// digest, a second fixed point through RunComposite's summation.
 	goldenCompositeCycles = 500_000
+	// goldenInjectProfile runs once per goldenInjectSpecs entry at
+	// goldenCycles with the fault plane attached: the digest is the
+	// sha256sum of `vaxsim -workload <name> -cycles 1000000 -inject <spec>`'s
+	// .upc. These pin the sampling contract of every injection point — a
+	// change that skips or adds a sampled reference moves its line even
+	// when every clean digest stays put.
+	goldenInjectProfile = "rte-commercial"
 )
+
+// goldenInjectSpecs are the injected runs: the memory RDS plane alone,
+// every point of the memory hierarchy together, and the cache and TB
+// planes without the memory plane.
+var goldenInjectSpecs = []string{
+	"seed=7,mem=0.0001",
+	"seed=7,mem=1/5000,cache=1/20000,tb=1/20000,sbi=1/20000",
+	"seed=3,cache=0.0001,tb=0.0001",
+}
 
 // TestGoldenDigests pins the simulator's data product across commits:
 // the SHA-256 of each profile's histogram file and of the composite's
@@ -48,11 +65,27 @@ func TestGoldenDigests(t *testing.T) {
 		t.Fatalf("composite: %v", err)
 	}
 	got = append(got, goldenLine(t, "composite.upc", histBytes(t, comp.Hist)))
+	p, ok := ByName(goldenInjectProfile)
+	if !ok {
+		t.Fatalf("no profile %q", goldenInjectProfile)
+	}
+	for _, spec := range goldenInjectSpecs {
+		cfg, err := fault.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunSupervised(context.Background(), Spec{Profile: p, Cycles: goldenCycles, Machine: cpu.Config{}, Fault: &cfg}, Supervisor{})
+		if err != nil {
+			t.Fatalf("%s -inject %s: %v", p.Name, spec, err)
+		}
+		got = append(got, goldenLine(t, fmt.Sprintf("%s[%s].upc", p.Name, spec), histBytes(t, res.Hist)))
+	}
 
 	if *updateGolden {
 		header := fmt.Sprintf("# SHA-256 of Histogram.Save bytes: each profile at %d cycles (vaxsim -workload <name> -cycles %d),\n"+
-			"# composite = RunComposite at %d cycles per profile. Rewrite with `make golden`.\n",
-			goldenCycles, goldenCycles, goldenCompositeCycles)
+			"# composite = RunComposite at %d cycles per profile, <name>[<spec>] = the same run as\n"+
+			"# vaxsim -workload <name> -cycles %d -inject <spec>. Rewrite with `make golden`.\n",
+			goldenCycles, goldenCycles, goldenCompositeCycles, goldenCycles)
 		if err := os.WriteFile(goldenFile, []byte(header+strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
