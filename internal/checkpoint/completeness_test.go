@@ -127,6 +127,7 @@ func TestSnapshotCompleteness(t *testing.T) {
 				"cfg":      "travels as part of Meta.Machine",
 				"setShift": "derived from cfg by New",
 				"setMask":  "derived from cfg by New",
+				"tagShift": "derived from cfg by New",
 				"tracer":   "attachment",
 				"inject":   "attachment derived from the fault plane",
 			},
