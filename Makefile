@@ -6,8 +6,9 @@
 # workload, DESIGN.md "Fault model & machine checks"), the crash-
 # consistency proof (kill a checkpointed run mid-write, resume, demand
 # bit-identical results; DESIGN.md "Checkpoint format & run supervision"),
-# and a short fuzz smoke over the disassembler, instruction decoder, and
-# checkpoint loader.
+# and a short fuzz smoke over the disassembler, instruction decoder,
+# checkpoint loader, and the I-box's frame-window decode against per-byte
+# translation.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -96,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecode$$ -fuzztime $(FUZZTIME) ./internal/vax
 	$(GO) test -fuzz=FuzzDecodeSpecifier -fuzztime $(FUZZTIME) ./internal/vax
 	$(GO) test -fuzz=FuzzCheckpointLoad -fuzztime $(FUZZTIME) ./internal/checkpoint
+	$(GO) test -fuzz=FuzzIStreamDifferential -fuzztime $(FUZZTIME) ./internal/cpu
 
 # Regenerate every table and figure of the paper (see bench_test.go);
 # the 108 paper-shape checks fail only here. Simulator speed is measured

@@ -136,9 +136,9 @@ func TestEscapeGroundTruth(t *testing.T) {
 // ground truth records that the per-cycle cost the note tolerates does
 // not, with the current compiler, actually exist.
 var knownOverApprox = map[string]string{
-	"internal/cpu/exec.go:119:44": "arith-trap parameter slice: deliverException copies the words into machine state and never leaks the slice, so the backing array stays on the caller's stack",
-	"internal/cpu/exec.go:301:44": "page-fault parameter slice: same deliverException sink as exec.go:119",
-	"internal/cpu/exec.go:306:44": "memory-management-fault parameter slice: same deliverException sink as exec.go:119",
+	"internal/cpu/exec.go:120:44": "arith-trap parameter slice: deliverException copies the words into machine state and never leaks the slice, so the backing array stays on the caller's stack",
+	"internal/cpu/exec.go:302:44": "page-fault parameter slice: same deliverException sink as exec.go:120",
+	"internal/cpu/exec.go:307:44": "memory-management-fault parameter slice: same deliverException sink as exec.go:120",
 }
 
 // escLine matches one compiler escape diagnostic:

@@ -11,8 +11,9 @@ import (
 // TestFunctionalTranslationDifferential steps each of the five workload
 // profiles, booted under vmos, on two machines in lockstep: one with the
 // functional path as it runs (page runs and the translation memo), one
-// translating every byte with mmu.Translate. Every diffEvery
-// instructions the registers, PSL, cycle count and histogram must be
+// translating every byte with mmu.Translate and decoding without the
+// frame window. Every diffEvery instructions the registers, PSL, cycle
+// count, I-Fetch counters, physical memory and histogram must be
 // identical.
 func TestFunctionalTranslationDifferential(t *testing.T) {
 	const (
@@ -41,6 +42,12 @@ func TestFunctionalTranslationDifferential(t *testing.T) {
 				if f.R != r.R || f.PSL != r.PSL || f.Cycle() != r.Cycle() || f.Err() != r.Err() {
 					t.Fatalf("after %d instructions: fast R=%x PSL=%#x cycle=%d, reference R=%x PSL=%#x cycle=%d",
 						done+diffEvery, f.R, f.PSL, f.Cycle(), r.R, r.PSL, r.Cycle())
+				}
+				if f.IBStats() != r.IBStats() {
+					t.Fatalf("after %d instructions: I-Fetch counters %+v, reference %+v", done+diffEvery, f.IBStats(), r.IBStats())
+				}
+				if size := int(f.Mem.Size()); !bytes.Equal(f.Mem.Read(0, size), r.Mem.Read(0, size)) {
+					t.Fatalf("after %d instructions: physical memory differs", done+diffEvery)
 				}
 				if !bytes.Equal(save(t, fast), save(t, ref)) {
 					t.Fatalf("after %d instructions: histograms differ", done+diffEvery)

@@ -12,7 +12,12 @@ import (
 // Functional (untimed) virtual memory access. The timing model books cache
 // and bus activity separately; data always comes from the memory array,
 // which write-through keeps current. Every functional translation goes
-// through vtop, once per run of bytes within one 512-byte page.
+// through vtop, once per run of bytes within one 512-byte page, and a
+// run is copied straight out of its physical frame (mem.Frame). The
+// I-box goes one step further: it keeps the frame under PC as a window
+// and decodes from it in place while the window stays exact (ibox.peek).
+// Either way each byte handed out is one RDS sample (mem.Sampled), as a
+// read through Memory.Byte would be.
 
 // memoSize is the number of direct-mapped entries in the functional
 // translation memo.
@@ -89,6 +94,12 @@ func (m *Machine) loadVirt(va uint32, dst []byte) {
 			i += n
 			continue
 		}
+		if f := m.Mem.Frame(pa); f != nil {
+			copy(dst[i:i+n], f[pa&mmu.PageMask:])
+			m.Mem.Sampled(pa, n)
+			i += n
+			continue
+		}
 		for end := i + n; i < end; i++ {
 			dst[i] = m.Mem.Byte(pa)
 			pa++
@@ -113,7 +124,7 @@ func (m *Machine) writeVirt(va uint32, size int, v uint64) {
 		n := m.pageRun(a, size-i)
 		pa, err := m.vtop(a)
 		if err != nil {
-			m.fail("functional write at %#x: %v", va, err)
+			m.fail("functional write at %#x: %v", a, err)
 			return
 		}
 		gen := m.Mem.Gen()
@@ -335,21 +346,10 @@ func (m *Machine) ibWait(n int, stallW uint16) {
 	}
 }
 
-// take consumes n I-stream bytes with a one-cycle dispatch at w. The
-// result aliases the IB scratch buffer (see ibox.peek).
-func (m *Machine) take(w, stallW uint16, n int) []byte {
-	m.ibWait(n, stallW)
-	if m.runErr != nil {
-		return m.ib.zeroed(n)
-	}
-	b := m.ib.consume(n)
-	m.tick(w)
-	return b
-}
-
 // takeExtra consumes n further bytes that arrive with the same dispatch
-// (no additional cycle, but the wait can still IB-stall). The result
-// aliases the IB scratch buffer (see ibox.peek).
+// (no additional cycle, but the wait can still IB-stall). The result is
+// valid only until the next IB interaction or memory write (see
+// ibox.peek).
 func (m *Machine) takeExtra(stallW uint16, n int) []byte {
 	m.ibWait(n, stallW)
 	if m.runErr != nil {

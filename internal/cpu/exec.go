@@ -52,6 +52,7 @@ func (m *Machine) StepInstruction() {
 		return
 	}
 	m.instAborted = false
+	m.ib.syncWindow()
 	// Machine checks outrank interrupts: drain the subsystem error latches
 	// and deliver a pending check before anything else this boundary.
 	m.pollMachineChecks()

@@ -123,6 +123,7 @@ func init() {
 		m.MMU.P0LR = load(pcbP0LR)
 		m.MMU.P1BR = load(pcbP1BR)
 		m.MMU.P1LR = load(pcbP1LR)
+		m.ib.dropWindow()
 		if !m.cfg.NoTBFlushOnSwitch {
 			m.TLB.FlushProcess()
 		}

@@ -131,18 +131,8 @@ func (m *Machine) prWrite(n, v uint32) {
 		}
 	case PRISP:
 		m.ipr[IPRSlotISP] = v
-	case PRP0BR:
-		m.MMU.P0BR = v
-	case PRP0LR:
-		m.MMU.P0LR = v
-	case PRP1BR:
-		m.MMU.P1BR = v
-	case PRP1LR:
-		m.MMU.P1LR = v
-	case PRSBR:
-		m.MMU.SBR = v
-	case PRSLR:
-		m.MMU.SLR = v
+	case PRP0BR, PRP0LR, PRP1BR, PRP1LR, PRSBR, PRSLR, PRMAPEN:
+		m.mmuWrite(n, v)
 	case PRPCBB:
 		m.ipr[IPRSlotPCBB] = v
 	case PRSCBB:
@@ -163,11 +153,31 @@ func (m *Machine) prWrite(n, v uint32) {
 		m.ipr[IPRSlotICCS] = v
 	case PRNICR:
 		m.ipr[IPRSlotNICR] = v
-	case PRMAPEN:
-		m.MMU.Enabled = v&1 != 0
 	case PRTBIA:
 		m.TLB.FlushAll()
 	case PRTBIS:
 		m.TLB.Invalidate(v)
 	}
+}
+
+// mmuWrite implements MTPR to a memory-management register. The write
+// lands inside an instruction, so it drops the I-box's frame window.
+func (m *Machine) mmuWrite(n, v uint32) {
+	switch n {
+	case PRP0BR:
+		m.MMU.P0BR = v
+	case PRP0LR:
+		m.MMU.P0LR = v
+	case PRP1BR:
+		m.MMU.P1BR = v
+	case PRP1LR:
+		m.MMU.P1LR = v
+	case PRSBR:
+		m.MMU.SBR = v
+	case PRSLR:
+		m.MMU.SLR = v
+	case PRMAPEN:
+		m.MMU.Enabled = v&1 != 0
+	}
+	m.ib.dropWindow()
 }

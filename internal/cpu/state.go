@@ -148,6 +148,7 @@ func (m *Machine) ImportState(st State) error {
 	m.PSL = st.PSL
 	m.ipr = st.IPR
 	m.MMU = st.MMU
+	m.ib.dropWindow()
 	m.ib.ptr = st.IB.Ptr
 	m.ib.valid = st.IB.Valid
 	m.ib.fillPending = st.IB.FillPending

@@ -24,6 +24,11 @@ func TestIBStateCompleteness(t *testing.T) {
 	exempt := map[string]string{
 		"m":       "wiring to the owning machine",
 		"scratch": "transient decode buffer; its contents never outlive one peek/consume",
+		"win":     "derived frame window: a slice of the memory array taken through vtop; ImportState bumps the memory generation, so the next peek retakes it",
+		"winTag":  "derived: names the page win maps; a peek off that page retakes the window",
+		"winPA":   "derived: the physical address of win[0], retaken with win",
+		"winGen":  "derived: only compared with the memory generation, which ImportState bumps",
+		"winRegs": "derived: only compared with the MMU registers at instruction boundaries; ImportState drops the window",
 	}
 	typ := reflect.TypeOf(ibox{})
 	fields := make(map[string]bool, typ.NumField())

@@ -2,8 +2,15 @@ package cpu
 
 import (
 	"bytes"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"vax780/internal/mem"
 	"vax780/internal/mmu"
 	"vax780/internal/vax"
 )
@@ -320,6 +327,380 @@ func BenchmarkReadVirt(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.readVirt(c.va, 4)
+			}
+		})
+	}
+}
+
+// Frame-window fixture: code runs in kernel mode from P0 page 2 (VA
+// 0x400), which table A maps to frame 0x103; table B maps it to 0x202.
+const (
+	wfCode   = 2 * mmu.PageSize
+	wfFrameA = 0x103 << mmu.PageShift
+	wfFrameB = 0x202 << mmu.PageShift
+	wfFrameC = 0x140 << mmu.PageShift // a spare frame for remapped code
+)
+
+// place stores code at va through the machine's current translation,
+// byte by byte, with physical stores that touch no page table.
+func place(t *testing.T, m *Machine, va uint32, code ...byte) {
+	t.Helper()
+	for i, b := range code {
+		pa, err := mmu.Translate(va+uint32(i), &m.MMU, m.Mem)
+		if err != nil {
+			t.Fatalf("place at %#x: %v", va+uint32(i), err)
+		}
+		m.Mem.SetByte(pa, b)
+	}
+}
+
+// startKernel points the machine at va in kernel mode with a valid stack.
+func startKernel(m *Machine, va uint32) {
+	m.PSL = 0
+	m.R[vax.SP] = mmuS0(mfKStack)
+	m.SetPC(va)
+}
+
+// steps runs n instructions, stopping early if the machine halts.
+func steps(m *Machine, n int) {
+	for i := 0; i < n && !m.Halted(); i++ {
+		m.StepInstruction()
+	}
+}
+
+// movl0 is MOVL S^#lit, R0: its literal tells which copy of the code ran.
+func movl0(lit byte) []byte { return []byte{byte(vax.MOVL), lit, 0x50} }
+
+func le32(v uint32) []byte { return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)} }
+
+// requireSameMachine fails unless two machines agree on every piece of
+// architectural state, the stop condition, physical memory, the latched
+// memory fault and the I-Fetch counters. It takes and returns the latched
+// fault (zero if none).
+func requireSameMachine(t *testing.T, fast, ref *Machine) mem.Fault {
+	t.Helper()
+	if fast.R != ref.R || fast.PSL != ref.PSL || fast.PCVal() != ref.PCVal() || fast.Halted() != ref.Halted() {
+		t.Fatalf("state diverged: R=%x PSL=%#x PC=%#x halted=%v; reference R=%x PSL=%#x PC=%#x halted=%v",
+			fast.R, fast.PSL, fast.PCVal(), fast.Halted(), ref.R, ref.PSL, ref.PCVal(), ref.Halted())
+	}
+	if fe, re := fmt.Sprint(fast.Err()), fmt.Sprint(ref.Err()); fe != re {
+		t.Fatalf("errors diverged: %s; reference %s", fe, re)
+	}
+	if fast.MMU != ref.MMU || fast.Cycle() != ref.Cycle() || fast.IBStats() != ref.IBStats() {
+		t.Fatalf("MMU, cycles or IB counters diverged: %+v %d %+v; reference %+v %d %+v",
+			fast.MMU, fast.Cycle(), fast.IBStats(), ref.MMU, ref.Cycle(), ref.IBStats())
+	}
+	ff, fok := fast.Mem.TakeFault()
+	rf, rok := ref.Mem.TakeFault()
+	if ff != rf || fok != rok {
+		t.Fatalf("latched faults diverged: %+v (%v); reference %+v (%v)", ff, fok, rf, rok)
+	}
+	size := int(fast.Mem.Size())
+	if !bytes.Equal(fast.Mem.Read(0, size), ref.Mem.Read(0, size)) {
+		t.Fatal("memory diverged from the per-byte reference path")
+	}
+	return ff
+}
+
+// TestFrameWindow runs code through each change that can make the I-box's
+// frame window stale, on a machine that decodes from the window and on
+// one that translates every I-stream byte with mmu.Translate. Each case
+// checks that the decode saw the change; then the two machines must
+// agree on registers, memory, latched faults and I-Fetch counters.
+func TestFrameWindow(t *testing.T) {
+	cases := []struct {
+		name  string
+		run   func(t *testing.T, m *Machine)
+		fault mem.Fault // the latched fault the run must leave
+	}{
+		{"store into the code page ahead of PC", func(t *testing.T, m *Machine) {
+			// MOVB S^#9, @#<literal of the next instruction>; MOVL S^#1, R0.
+			code := append([]byte{byte(vax.MOVB), 0x09, 0x9F}, le32(wfCode+8)...)
+			place(t, m, wfCode, append(code, movl0(1)...)...)
+			startKernel(m, wfCode)
+			steps(m, 2)
+			if m.R[0] != 9 {
+				t.Fatalf("R0 = %d: the decode missed the store into its page", m.R[0])
+			}
+		}, mem.Fault{}},
+		{"store into the PTE mapping the code page", func(t *testing.T, m *Machine) {
+			// MOVL #PTE(frame C), @#PTE of page 2; the next instruction
+			// comes from frame C.
+			code := append([]byte{byte(vax.MOVL), 0x8F}, le32(mmu.MakePTE(wfFrameC>>mmu.PageShift, mmu.ProtUW))...)
+			code = append(append(code, 0x9F), le32(mmuS0(mfTableA+4*2))...)
+			place(t, m, wfCode, append(code, movl0(1)...)...)
+			for i, b := range movl0(9) {
+				m.Mem.SetByte(wfFrameC+uint32(len(code)+i), b)
+			}
+			startKernel(m, wfCode)
+			steps(m, 2)
+			if m.R[0] != 9 {
+				t.Fatalf("R0 = %d: the decode read the old frame", m.R[0])
+			}
+		}, mem.Fault{}},
+		{"MTPR P0BR", func(t *testing.T, m *Machine) {
+			code := append(append([]byte{byte(vax.MTPR), 0x8F}, le32(mmuS0(mfTableB))...), PRP0BR)
+			place(t, m, wfCode, append(code, movl0(1)...)...)
+			for i, b := range movl0(9) {
+				m.Mem.SetByte(wfFrameB+uint32(len(code)+i), b)
+			}
+			startKernel(m, wfCode)
+			steps(m, 2)
+			if m.R[0] != 9 {
+				t.Fatalf("R0 = %d: the decode used table A after MTPR P0BR", m.R[0])
+			}
+		}, mem.Fault{}},
+		{"registers set between instructions", func(t *testing.T, m *Machine) {
+			// As the OS layer's boot path does: no instruction runs the
+			// write, so only the boundary check can see it.
+			place(t, m, wfCode, append(movl0(2), movl0(1)...)...)
+			for i, b := range movl0(9) {
+				m.Mem.SetByte(wfFrameB+3+uint32(i), b)
+			}
+			startKernel(m, wfCode)
+			steps(m, 1)
+			m.MMU.P0BR = mmuS0(mfTableB)
+			steps(m, 1)
+			if m.R[0] != 9 {
+				t.Fatalf("R0 = %d: the decode used table A after P0BR changed", m.R[0])
+			}
+		}, mem.Fault{}},
+		{"LDPCTX", func(t *testing.T, m *Machine) {
+			m.Mem.WriteLong(mfPCB+PCBOffset(pcbKSP), mmuS0(mfKStack))
+			m.Mem.WriteLong(mfPCB+PCBOffset(pcbP0BR), mmuS0(mfTableB))
+			m.Mem.WriteLong(mfPCB+PCBOffset(pcbP0LR), 32)
+			m.Mem.WriteLong(mfPCB+PCBOffset(pcbP1BR), mmuS0(mfTableB))
+			m.Mem.WriteLong(mfPCB+PCBOffset(pcbP1LR), 0)
+			m.SetIPR(IPRSlotPCBB, mfPCB)
+			place(t, m, wfCode, append([]byte{byte(vax.LDPCTX)}, movl0(1)...)...)
+			for i, b := range movl0(9) {
+				m.Mem.SetByte(wfFrameB+1+uint32(i), b)
+			}
+			startKernel(m, wfCode)
+			steps(m, 2)
+			if m.R[0] != 9 {
+				t.Fatalf("R0 = %d: the decode used the old P0 mapping after LDPCTX", m.R[0])
+			}
+		}, mem.Fault{}},
+		{"ImportState", func(t *testing.T, m *Machine) {
+			// The snapshot has the same registers and PC but maps the
+			// code page to frame C: only the memory generation tells.
+			place(t, m, wfCode, append(movl0(2), movl0(1)...)...)
+			startKernel(m, wfCode)
+			steps(m, 1)
+			other := newMemoMachine(m.refXlate)
+			other.Mem.WriteLong(mfTableA+4*2, mmu.MakePTE(wfFrameC>>mmu.PageShift, mmu.ProtUW))
+			place(t, other, wfCode+3, movl0(9)...)
+			startKernel(other, wfCode+3)
+			other.R[0] = 2
+			st, err := other.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.ImportState(st); err != nil {
+				t.Fatal(err)
+			}
+			steps(m, 1)
+			if m.R[0] != 9 {
+				t.Fatalf("R0 = %d: the decode read the frame mapped before the import", m.R[0])
+			}
+		}, mem.Fault{}},
+		{"instruction straddling a page", func(t *testing.T, m *Machine) {
+			// MOVL S^#2, R2 warms the window on page 2; MOVL #imm, R0
+			// crosses into page 3, whose frame is not the next one.
+			va := uint32(wfCode + mmu.PageSize - 6)
+			code := []byte{byte(vax.MOVL), 0x02, 0x52, byte(vax.MOVL), 0x8F}
+			code = append(append(code, le32(0x11223344)...), 0x50)
+			place(t, m, va, append(code, byte(vax.MOVL), 0x09, 0x51)...)
+			startKernel(m, va)
+			steps(m, 3)
+			if m.R[0] != 0x11223344 || m.R[1] != 9 || m.R[2] != 2 {
+				t.Fatalf("R0..R2 = %#x %#x %#x", m.R[0], m.R[1], m.R[2])
+			}
+		}, mem.Fault{}},
+		{"code in a frame past the end of memory", func(t *testing.T, m *Machine) {
+			// JMP @#page 4, which maps a frame beyond the 1 MB array: the
+			// opcode reads as zero (HALT) and latches a range fault.
+			m.Mem.WriteLong(mfTableA+4*4, mmu.MakePTE(0x900, mmu.ProtUW))
+			place(t, m, wfCode, append([]byte{byte(vax.JMP), 0x9F}, le32(4*mmu.PageSize+6)...)...)
+			startKernel(m, wfCode)
+			steps(m, 2)
+			if !m.Halted() || m.Reason() != HaltInstruction {
+				t.Fatalf("halted=%v reason=%v err=%v; want a HALT read from nonexistent memory", m.Halted(), m.Reason(), m.Err())
+			}
+		}, mem.Fault{Kind: mem.FaultRange, Addr: 0x900<<mmu.PageShift + 6}},
+		{"sampler attached mid-run", func(t *testing.T, m *Machine) {
+			// With the MMU off no page-table read interleaves, so every
+			// sample is a byte peek or consume handed out: MOVL R1, R2
+			// hands out 7 (the opcode, then each register specifier's
+			// mode byte peeked for its length, peeked whole and consumed).
+			m.prWrite(PRMAPEN, 0)
+			var code []byte
+			for range 4 {
+				code = append(code, byte(vax.MOVL), 0x51, 0x52)
+			}
+			place(t, m, mfCode, code...)
+			startKernel(m, mfCode)
+			steps(m, 1)
+			samples := 0
+			m.Mem.SetInjector(func() bool { samples++; return samples == 10 })
+			steps(m, 2)
+			m.Mem.SetInjector(nil)
+			if samples != 14 {
+				t.Fatalf("%d samples for two MOVL R1, R2, want 14", samples)
+			}
+			// Sample 10 is the third instruction's third byte handed
+			// out: its first specifier, at mfCode+7.
+		}, mem.Fault{Kind: mem.FaultRDS, Addr: mfCode + 7}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fast, ref := newMemoMachine(false), newMemoMachine(true)
+			c.run(t, fast)
+			c.run(t, ref)
+			if f := requireSameMachine(t, fast, ref); f != c.fault {
+				t.Fatalf("latched fault %+v, want %+v", f, c.fault)
+			}
+		})
+	}
+}
+
+// TestWriteVirtFailureNamesFailingByte checks a store that straddles
+// from a mapped page into one beyond P0LR reports the first byte that
+// failed to translate, not the store's first byte.
+func TestWriteVirtFailureNamesFailingByte(t *testing.T) {
+	for _, ref := range []bool{false, true} {
+		m := newMemoMachine(ref)
+		m.writeVirt(mfP0LR*mmu.PageSize-2, 4, 0x0102_0304)
+		want := fmt.Sprintf("functional write at %#x:", mfP0LR*mmu.PageSize)
+		if err := m.Err(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("reference=%v: error %v, want one naming %q", ref, err, want)
+		}
+	}
+}
+
+// TestMMUWritersDropWindow proves the rule the frame window's register
+// check rests on. peek compares the memory-management registers only at
+// instruction boundaries (syncWindow), so every function in this package
+// that writes m.MMU — the only code that runs inside an instruction and
+// can (the probe and the fault observer are passive by contract) — must
+// also drop the window.
+func TestMMUWritersDropWindow(t *testing.T) {
+	fset := token.NewFileSet()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writers := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Walk every function body, innermost first: a write belongs to
+		// the closest enclosing FuncDecl or FuncLit.
+		var check func(body *ast.BlockStmt)
+		check = func(body *ast.BlockStmt) {
+			var writes []token.Pos
+			drops := false
+			var visit func(n ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncLit:
+					check(n.Body)
+					return false
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						if reachesMMU(l) {
+							writes = append(writes, l.Pos())
+						}
+					}
+				case *ast.IncDecStmt:
+					if reachesMMU(n.X) {
+						writes = append(writes, n.Pos())
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND && reachesMMU(n.X) {
+						writes = append(writes, n.Pos()) // a pointer that escapes could write
+					}
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok {
+						break
+					}
+					if sel.Sel.Name == "dropWindow" {
+						drops = true
+					}
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "mmu" {
+						// Package mmu only reads the registers through
+						// its pointer argument.
+						for _, a := range n.Args {
+							if u, ok := a.(*ast.UnaryExpr); !ok || u.Op != token.AND || !reachesMMU(u.X) {
+								ast.Inspect(a, visit)
+							}
+						}
+						return false
+					}
+				}
+				return true
+			}
+			ast.Inspect(body, visit)
+			writers += len(writes)
+			if len(writes) > 0 && !drops {
+				for _, p := range writes {
+					t.Errorf("%s: writes the MMU registers in a function that does not drop the frame window", fset.Position(p))
+				}
+			}
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				check(fd.Body)
+			}
+		}
+	}
+	if writers == 0 {
+		t.Fatal("found no write to the MMU registers; the scan is broken")
+	}
+}
+
+// reachesMMU reports whether e is x.MMU or a field of it.
+func reachesMMU(e ast.Expr) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			if x.Sel.Name == "MMU" {
+				return true
+			}
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return false
+		}
+	}
+}
+
+// BenchmarkPeek times one 4-byte I-stream peek served by the frame
+// window, one whose run crosses a page (through loadVirt), and one on
+// the per-byte reference path.
+func BenchmarkPeek(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		ref  bool
+		va   uint32
+	}{
+		{"window", false, 3*mmu.PageSize + 8},
+		{"cross-page", false, 4*mmu.PageSize - 2},
+		{"reference", true, 3*mmu.PageSize + 8},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m := newMemoMachine(c.ref)
+			m.ib.ptr = c.va
+			for i := 0; i < b.N; i++ {
+				m.ib.peek(4)
 			}
 		})
 	}

@@ -146,6 +146,39 @@ func (m *Memory) Byte(pa uint32) byte {
 	return m.data[pa]
 }
 
+// Frame returns the 512-byte page frame (mmu.PageSize) holding pa as a
+// slice of the live array: a later write into the frame shows through
+// it at once. It is nil if the frame does not lie wholly inside the
+// array, where every access must go through Byte and latch its range
+// fault. Reading through a frame bypasses the RDS sampler; a reader
+// accounts the bytes it hands out with Sampled.
+func (m *Memory) Frame(pa uint32) []byte {
+	base := uint64(pa) &^ (1<<frameShift - 1)
+	end := base + 1<<frameShift
+	if end > uint64(len(m.data)) {
+		return nil
+	}
+	return m.data[base:end:end]
+}
+
+// Sampled accounts n byte reads starting at pa, all inside the array,
+// to the RDS sampler exactly as n calls of Byte would: one sample per
+// byte, and a firing sample latches that byte's address. Without a
+// sampler it is a nil check.
+func (m *Memory) Sampled(pa uint32, n int) {
+	if m.inject != nil {
+		m.sampleBytes(pa, n)
+	}
+}
+
+func (m *Memory) sampleBytes(pa uint32, n int) {
+	for i := range uint32(n) {
+		if m.inject() {
+			m.latch(FaultRDS, pa+i)
+		}
+	}
+}
+
 // ReadLong reads an aligned-agnostic longword at a physical address.
 func (m *Memory) ReadLong(pa uint32) uint32 {
 	if !m.readCheck(pa, 4) {

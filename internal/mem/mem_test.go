@@ -85,6 +85,47 @@ func TestMemoryRDSInjection(t *testing.T) {
 	}
 }
 
+// TestFrameAliasesMemory checks Frame hands out the live frame, and
+// nothing for a frame the array does not wholly hold.
+func TestFrameAliasesMemory(t *testing.T) {
+	m := New(3*512 + 100)
+	f := m.Frame(512 + 7)
+	if len(f) != 512 || cap(f) != 512 {
+		t.Fatalf("frame len %d cap %d, want 512", len(f), cap(f))
+	}
+	m.SetByte(512+9, 0xAB)
+	if f[9] != 0xAB {
+		t.Fatalf("frame byte 9 = %#x after a store, want 0xAB", f[9])
+	}
+	if g := m.Frame(3*512 + 5); g != nil {
+		t.Fatalf("partial last frame handed out (len %d)", len(g))
+	}
+	if g := m.Frame(1 << 30); g != nil {
+		t.Fatalf("frame past the array handed out (len %d)", len(g))
+	}
+}
+
+// TestSampledMatchesByte checks Sampled consults the RDS sampler and
+// latches exactly as the same number of Byte calls would.
+func TestSampledMatchesByte(t *testing.T) {
+	byByte, bySampled := New(1024), New(1024)
+	var nByte, nSampled int
+	byByte.SetInjector(func() bool { nByte++; return nByte == 5 })
+	bySampled.SetInjector(func() bool { nSampled++; return nSampled == 5 })
+	for pa := uint32(100); pa < 108; pa++ {
+		byByte.Byte(pa)
+	}
+	bySampled.Sampled(100, 8)
+	fb, okb := byByte.TakeFault()
+	fs, oks := bySampled.TakeFault()
+	if nByte != nSampled || fb != fs || okb != oks {
+		t.Fatalf("Sampled: %d samples, fault %+v (%v); Byte: %d samples, fault %+v (%v)", nSampled, fs, oks, nByte, fb, okb)
+	}
+	if fs != (Fault{Kind: FaultRDS, Addr: 104}) {
+		t.Fatalf("latched %+v, want RDS at 104", fs)
+	}
+}
+
 func TestPropertyMemoryLongRoundTrip(t *testing.T) {
 	m := New(1 << 16)
 	f := func(addr uint16, v uint32) bool {
