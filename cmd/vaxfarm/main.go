@@ -17,6 +17,7 @@
 //	vaxfarm -resume -checkpoint farm/
 //	vaxfarm -instances 20 -inject "seed=7,mem=0.0001" -o out/
 //	vaxfarm -instances 12 -chaos "0@5,2@9" -ledger   (kill-a-worker demo)
+//	vaxfarm -instances 10 -workers 2 -checkpoint farm/ -cpuprofile cpu.pprof
 package main
 
 import (
@@ -53,7 +54,9 @@ func main() {
 	out := flag.String("o", ".", "output directory for farm-total.upc and per-profile .upc files")
 	ledger := flag.Bool("ledger", false, "print the full per-instance outcome ledger")
 	list := flag.Bool("list", false, "list workload profiles")
+	prof := cli.ProfileFlags(flag.CommandLine)
 	flag.Parse()
+	defer prof.Start("vaxfarm")()
 
 	if *list {
 		for _, p := range workload.All() {

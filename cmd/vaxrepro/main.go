@@ -15,6 +15,7 @@
 //	vaxrepro [-cycles N] [-only T8] [-summary]
 //	vaxrepro -cycles 8000000 -checkpoint ckpt/ -deadline 30m
 //	vaxrepro -resume -checkpoint ckpt/
+//	vaxrepro -summary -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -45,7 +46,9 @@ func main() {
 	ckptEvery := flag.Uint64("checkpoint-every", workload.DefaultCheckpointEvery, "cycles between automatic checkpoints")
 	resume := flag.Bool("resume", false, "resume an interrupted reproduction from the -checkpoint directory")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget; an expired deadline checkpoints and exits non-zero")
+	prof := cli.ProfileFlags(flag.CommandLine)
 	flag.Parse()
+	defer prof.Start("vaxrepro")()
 
 	if *resume && *ckptDir == "" {
 		fatalf("-resume requires -checkpoint <dir>")

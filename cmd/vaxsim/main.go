@@ -17,6 +17,7 @@
 //	vaxsim -workload rte-commercial -checkpoint ckpt/ -deadline 30m
 //	vaxsim -resume -checkpoint ckpt/ -o hist.upc
 //	vaxsim -list
+//	vaxsim -workload rte-commercial -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -50,7 +51,9 @@ func main() {
 	ckptEvery := flag.Uint64("checkpoint-every", workload.DefaultCheckpointEvery, "cycles between automatic checkpoints")
 	resume := flag.Bool("resume", false, "resume from the newest snapshot in the -checkpoint directory instead of starting fresh")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget; an expired deadline checkpoints and exits non-zero")
+	prof := cli.ProfileFlags(flag.CommandLine)
 	flag.Parse()
+	defer prof.Start("vaxsim")()
 
 	var fcfg *fault.Config
 	if *inject != "" {
