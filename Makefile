@@ -7,8 +7,8 @@
 # consistency proof (kill a checkpointed run mid-write, resume, demand
 # bit-identical results; DESIGN.md "Checkpoint format & run supervision"),
 # and a short fuzz smoke over the disassembler, instruction decoder,
-# checkpoint loader, and the I-box's frame-window decode against per-byte
-# translation.
+# checkpoint loader, memory-state import, and the I-box's frame-window
+# decode against per-byte translation.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -97,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecode$$ -fuzztime $(FUZZTIME) ./internal/vax
 	$(GO) test -fuzz=FuzzDecodeSpecifier -fuzztime $(FUZZTIME) ./internal/vax
 	$(GO) test -fuzz=FuzzCheckpointLoad -fuzztime $(FUZZTIME) ./internal/checkpoint
+	$(GO) test -fuzz=FuzzMemoryImport -fuzztime $(FUZZTIME) ./internal/mem
 	$(GO) test -fuzz=FuzzIStreamDifferential -fuzztime $(FUZZTIME) ./internal/cpu
 
 # Regenerate every table and figure of the paper (see bench_test.go);

@@ -25,6 +25,15 @@
 // Any damage — truncation, padding, a flipped bit anywhere — fails the
 // length or checksum test and is reported as ErrCorrupt; the gob decoder
 // only ever sees checksum-verified bytes.
+//
+// Physical memory travels sparse (format version 2): the payload carries
+// only the 512-byte page frames that hold a non-zero byte, with their
+// frame indices (mem.MemoryState). A measurement run touches a few
+// percent of its 8 MB array, so a snapshot is some hundreds of kilobytes
+// rather than the array's full size, and encoding, checksumming and
+// writing it cost that much less. The form is canonical — equal
+// memories export equal states — so snapshots of equal runs stay
+// byte-identical.
 package checkpoint
 
 import (
@@ -44,7 +53,9 @@ import (
 
 // FormatVersion is the current snapshot format version. Decode rejects
 // snapshots from other versions (no silent cross-version resume).
-const FormatVersion = 1
+// Version 2 stores physical memory as its non-zero page frames
+// (mem.MemoryState); version 1 stored the whole array.
+const FormatVersion = 2
 
 var magic = [8]byte{'V', 'A', 'X', '7', '8', '0', 'C', 'P'}
 

@@ -89,21 +89,24 @@ func TestDecodeRejectsDamage(t *testing.T) {
 }
 
 // TestDecodeRejectsOtherVersion rebuilds a structurally valid snapshot
-// claiming a future format version (checksum recomputed, so only the
+// claiming another format version (checksum recomputed, so only the
 // version check can object) and requires ErrBadVersion — no silent
-// cross-version resume.
+// cross-version resume. Version 1, the whole-array memory format, is
+// one of them.
 func TestDecodeRejectsOtherVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, testSnapshot(1000)); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	data := buf.Bytes()
-	binary.LittleEndian.PutUint32(data[8:], FormatVersion+1)
-	sum := sha256.Sum256(data[:len(data)-trailerLen])
-	copy(data[len(data)-trailerLen:], sum[:])
-	_, err := Decode(bytes.NewReader(data))
-	if !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("want ErrBadVersion, got %v", err)
+	for _, v := range []uint32{1, FormatVersion + 1} {
+		var buf bytes.Buffer
+		if err := Encode(&buf, testSnapshot(1000)); err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		data := buf.Bytes()
+		binary.LittleEndian.PutUint32(data[8:], v)
+		sum := sha256.Sum256(data[:len(data)-trailerLen])
+		copy(data[len(data)-trailerLen:], sum[:])
+		_, err := Decode(bytes.NewReader(data))
+		if !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d: want ErrBadVersion, got %v", v, err)
+		}
 	}
 }
 

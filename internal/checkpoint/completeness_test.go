@@ -150,7 +150,7 @@ func TestSnapshotCompleteness(t *testing.T) {
 			name: "mem.Memory",
 			typ:  reflect.TypeOf(mem.Memory{}),
 			captured: map[string]string{
-				"data":     "MemoryState.Data",
+				"data":     "MemoryState.Frames + MemoryState.Data (the non-zero frames; every frame not listed is zero)",
 				"fault":    "MemoryState.Fault",
 				"hasFault": "MemoryState.HasFault",
 			},

@@ -1,40 +1,93 @@
 package mem
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // Serialized state of the memory subsystem, for the checkpoint/resume
 // path (internal/checkpoint). Export copies everything it captures so the
 // live structure can keep running after a snapshot is taken; Import
 // restores a structure built with the same configuration. Fields wired at
-// construction or attachment time (size, timing config, injectors) are not
-// part of the state: the resume path reconstructs the structure first and
-// then imports into it. The completeness test in internal/checkpoint walks
+// construction or attachment time (timing config, injectors) are not part
+// of the state: the resume path reconstructs the structure first and then
+// imports into it. MemoryState.Size records the array size only so that
+// ImportState can refuse a state taken from a different one. The completeness test in internal/checkpoint walks
 // the live structs field by field against these state structs.
 
-// MemoryState is the serialized state of the physical memory array.
+// MemoryState is the serialized state of the physical memory array. It
+// carries only the 512-byte page frames that hold a non-zero byte: Frames
+// lists their indices in ascending order and Data holds them in the same
+// order, 512 bytes each (a final partial frame padded with zeros). Every
+// frame not listed is all zero. The form is canonical — equal memories
+// export equal states — so a state compares, encodes and resumes exactly
+// as the whole array would.
 type MemoryState struct {
+	Size     uint32
+	Frames   []uint32
 	Data     []byte
 	Fault    Fault
 	HasFault bool
 }
 
-// ExportState captures the memory array and its error latch.
+// zeroFrame is the all-zero frame ExportState and ImportState compare
+// against.
+var zeroFrame [1 << frameShift]byte
+
+// ExportState captures the non-zero frames of the memory array and its
+// error latch.
 func (m *Memory) ExportState() MemoryState {
-	st := MemoryState{
-		Data:     make([]byte, len(m.data)),
-		Fault:    m.fault,
-		HasFault: m.hasFault,
+	st := MemoryState{Size: uint32(len(m.data)), Fault: m.fault, HasFault: m.hasFault}
+	for f := range uint32((len(m.data) + 1<<frameShift - 1) >> frameShift) {
+		if frame := m.frameAt(f); !bytes.Equal(frame, zeroFrame[:len(frame)]) {
+			st.Frames = append(st.Frames, f)
+		}
 	}
-	copy(st.Data, m.data)
+	if len(st.Frames) > 0 {
+		st.Data = make([]byte, len(st.Frames)<<frameShift)
+		for i, f := range st.Frames {
+			copy(st.Data[i<<frameShift:], m.frameAt(f))
+		}
+	}
 	return st
 }
 
+// frameAt returns frame f of the array; the last frame may be short.
+func (m *Memory) frameAt(f uint32) []byte {
+	base := int(f) << frameShift
+	return m.data[base:min(base+1<<frameShift, len(m.data))]
+}
+
 // ImportState restores a state captured from a memory of the same size.
+// It accepts only the canonical form ExportState produces and validates
+// the whole state before it writes a byte, so a rejected state leaves
+// the memory as it was.
 func (m *Memory) ImportState(st MemoryState) error {
-	if len(st.Data) != len(m.data) {
-		return fmt.Errorf("mem: snapshot holds %d bytes, memory has %d", len(st.Data), len(m.data))
+	if st.Size != m.Size() {
+		return fmt.Errorf("mem: snapshot is of a %d-byte memory, memory has %d", st.Size, len(m.data))
 	}
-	copy(m.data, st.Data)
+	if len(st.Data) != len(st.Frames)<<frameShift {
+		return fmt.Errorf("mem: snapshot holds %d bytes for %d frames", len(st.Data), len(st.Frames))
+	}
+	for i, f := range st.Frames {
+		if uint64(f)<<frameShift >= uint64(len(m.data)) {
+			return fmt.Errorf("mem: snapshot frame %d lies beyond a %d-byte memory", f, len(m.data))
+		}
+		if i > 0 && f <= st.Frames[i-1] {
+			return fmt.Errorf("mem: snapshot frame %d follows frame %d", f, st.Frames[i-1])
+		}
+		data := st.Data[i<<frameShift : (i+1)<<frameShift]
+		if bytes.Equal(data, zeroFrame[:]) {
+			return fmt.Errorf("mem: snapshot lists all-zero frame %d", f)
+		}
+		if n := len(m.frameAt(f)); !bytes.Equal(data[n:], zeroFrame[n:]) {
+			return fmt.Errorf("mem: snapshot frame %d holds data beyond the end of memory", f)
+		}
+	}
+	clear(m.data)
+	for i, f := range st.Frames {
+		copy(m.frameAt(f), st.Data[i<<frameShift:])
+	}
 	m.fault = st.Fault
 	m.hasFault = st.HasFault
 	m.gen++

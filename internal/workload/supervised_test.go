@@ -184,6 +184,44 @@ func TestCrashConsistencyKillAndResume(t *testing.T) {
 	requireIdentical(t, p.Name, base, resumed)
 }
 
+// TestSnapshotSize guards the sparse memory format: a snapshot carries
+// only the page frames that hold a non-zero byte, so its encoded size is
+// bounded by those frames plus a fixed allowance for everything else
+// (registers, cache and TB arrays, OS state, the µPC histogram). A
+// return to whole-array encoding (8 MB) fails here.
+func TestSnapshotSize(t *testing.T) {
+	const (
+		cycles = 1_000_000
+		other  = 128 << 10
+	)
+	s, err := Prepare(RTECommercial, cycles, cpu.Config{})
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	if res := s.Run(cycles); res.Err != nil || res.Halted {
+		t.Fatalf("run: err=%v halted=%v", res.Err, res.Halted)
+	}
+	mem, zero := s.Machine().Mem, make([]byte, 512)
+	nonZero := 0
+	for pa := uint32(0); pa < mem.Size(); pa += 512 {
+		if !bytes.Equal(mem.Frame(pa), zero) {
+			nonZero++
+		}
+	}
+	snap, err := s.s.snapshot(nil)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := checkpoint.Encode(&buf, snap); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if limit := 512*nonZero + other; buf.Len() > limit {
+		t.Errorf("snapshot is %d bytes; %d non-zero frames allow at most %d", buf.Len(), nonZero, limit)
+	}
+	t.Logf("snapshot %d bytes, %d of %d frames non-zero", buf.Len(), nonZero, mem.Size()/512)
+}
+
 // TestSupervisedDeadline: an effectively-zero wall-clock budget stops the
 // run almost immediately with a final checkpoint and a typed
 // interruption whose cause is the deadline.
