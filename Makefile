@@ -13,7 +13,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build fmt vet lint vaxlint sarif escape-truth latency latency-truth test race soak farmsoak crash-consistency fuzz-smoke bench lint-bench golden
+.PHONY: check build fmt vet lint vaxlint sarif escape-truth latency latency-truth test race soak farmsoak crash-consistency fuzz-smoke bench golden
 
 check: build fmt vet vaxlint escape-truth latency-truth race soak farmsoak crash-consistency fuzz-smoke
 
@@ -27,7 +27,7 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# All eighteen analyzers, human-readable; vet is its own target above.
+# All sixteen analyzers, human-readable; vet is its own target above.
 vaxlint:
 	$(GO) run ./cmd/vaxlint -vet=false ./...
 
@@ -49,16 +49,16 @@ escape-truth:
 	$(GO) test -run TestEscapeGroundTruth ./internal/analysis
 
 # Latency oracle (DESIGN.md §16): regenerate the committed LATENCY.md +
-# latency.json from the microroutines.
+# latency.json from the microroutines (TestLatencyTruth with -update).
 latency:
-	$(GO) run ./cmd/vaxlat
+	$(GO) test -run '^TestLatencyTruth$$' -count=1 ./internal/analysis -args -update
 
 # Latency oracle drift gate: re-derive the table in memory and diff both
 # committed files (a one-cycle microroutine change fails here), then run
 # the dynamic cross-check — every registered opcode and addressing mode
 # single-stepped on a real machine must land inside its static bounds.
 latency-truth:
-	$(GO) run ./cmd/vaxlat -check
+	$(GO) test -run '^TestLatencyTruth$$' -count=1 ./internal/analysis
 	$(GO) test -run 'TestLatency' ./internal/experiments
 
 test:
@@ -102,13 +102,8 @@ fuzz-smoke:
 
 # Regenerate every table and figure of the paper (see bench_test.go);
 # the 108 paper-shape checks fail only here. Simulator speed is measured
-# by the repo benchmark: `bash perfbench/run.sh` (see perfbench/METRICS.md).
+# by the repo benchmark: `bash perfbench/run.sh` (see perfbench/METRICS.md);
+# the analyzer suite's own cost, per analyzer with its findings count, by
+# `go test -run '^$$' -bench BenchmarkAnalyzers -benchtime 1x ./internal/analysis`.
 bench:
 	$(GO) test -bench . -benchtime 1x
-
-# Analyzer-suite cost: one module load, then each of the eighteen
-# vaxlint analyzers timed over the whole tree with its findings count,
-# appended to the committed BENCH_lint.json ledger — the suite is big
-# enough that its own cost needs a trajectory.
-lint-bench:
-	$(GO) run ./cmd/vaxbench -out BENCH_lint.json

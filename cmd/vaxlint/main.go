@@ -1,26 +1,27 @@
-// Command vaxlint statically proves the simulator's invariants: opcode
-// table ↔ execute-microroutine registration, microword name references ↔
-// control-store declarations, paper headline numbers ↔ internal/paper,
-// the single-threaded Machine/probe contract, determinism of the
-// measurement core (no wall clock, no global rand, no map iteration
-// reachable from the simulation loop, serializers or checkpoint paths),
-// checkpoint state-completeness, typed boundary errors, and exhaustive
-// enum switches — plus the µflow attribution proofs: every microword
-// counted on the channel its class permits (uwflow), no structurally
-// zero histogram bucket (uwdead), and per-row scoping of the exec files
-// (rowscope) — the hot-path performance contract (hotpath/hotbox), and
-// the concflow concurrency contracts over the farm: every spawned
-// goroutine has a guaranteed exit path (goleak), every channel exactly
-// one closing owner with no send reachable after the close (chanprot),
-// every blocking op in context-carrying code cancellation-guarded
-// (ctxflow), and worker-owned state untouched outside its goroutine
-// until the merge barrier (onewriter) — and the latency-oracle
-// derivation (ulat): static per-opcode microcycle bounds from every
-// registered microroutine, the table committed as latency.json and
-// cross-checked dynamically (DESIGN.md §16). It is a multichecker-style
-// driver for the analyzers in internal/analysis and is part of the
-// tier-1 verify (Makefile `check`); the suite runs with one goroutine
-// per analyzer, findings merged into one deterministic position order.
+// Command vaxlint statically proves the simulator's invariants with
+// sixteen analyzers: microword name references ↔ control-store
+// declarations, paper headline numbers ↔ internal/paper, the
+// single-threaded Machine/probe contract, determinism of the measurement
+// core (no wall clock, no global rand, no map iteration reachable from
+// the simulation loop, serializers or checkpoint paths), checkpoint
+// state-completeness, typed boundary errors, and exhaustive enum
+// switches — plus the µflow attribution proofs: every microword counted
+// on the channel its class permits (uwflow) and no structurally zero
+// histogram bucket (uwdead) — the hot-path performance contract
+// (hotpath/hotbox), and the concflow concurrency contracts over the
+// farm: every spawned goroutine has a guaranteed exit path (goleak),
+// every channel exactly one closing owner with no send reachable after
+// the close (chanprot), every blocking op in context-carrying code
+// cancellation-guarded (ctxflow), and worker-owned state untouched
+// outside its goroutine until the merge barrier (onewriter) — and the
+// latency-oracle derivation (ulat): static per-opcode microcycle bounds
+// from every registered microroutine, with every register() opcode
+// resolved and every counted word inside its opcode's Table 8 row, the
+// table committed as latency.json and cross-checked dynamically
+// (DESIGN.md §16). It is a multichecker-style driver for the analyzers
+// in internal/analysis and is part of the tier-1 verify (Makefile
+// `check`); the suite runs with one goroutine per analyzer, findings
+// merged into one deterministic position order.
 //
 // Usage:
 //

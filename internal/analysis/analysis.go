@@ -207,21 +207,21 @@ func runOne(a *Analyzer, pkgs []*Package, sharedFset *token.FileSet, allows allo
 	return diags, nil
 }
 
-// All is the vaxlint suite in reporting order: the four cross-table
+// All is the vaxlint suite in reporting order: the three cross-table
 // analyzers from the original suite, the four determinism-contract
-// analyzers built on the fact layer, the three µflow attribution
+// analyzers built on the fact layer, the two µflow attribution
 // analyzers built on the CFG + dataflow layer (cfg.go, dataflow.go,
 // uwmodel.go), the two hot-path perf-contract analyzers built on the
 // callgraph's function-value and interface approximations (hotset.go),
 // the four concflow concurrency-contract analyzers built on the
 // goroutine/channel model (concmodel.go), and the ulat latency-oracle
 // derivation (ulat.go) that pins every microroutine's static cycle
-// bounds.
+// bounds and owns the opcode-registration and Table 8 row checks.
 func All() []*Analyzer {
 	return []*Analyzer{
-		ExecTable, UWRef, PaperConst, ProbeSafe,
+		UWRef, PaperConst, ProbeSafe,
 		Determinism, StateComplete, TypedErr, Exhaustive,
-		UWFlow, UWDead, RowScope,
+		UWFlow, UWDead,
 		HotPath, HotBox,
 		GoLeak, ChanProt, CtxFlow, OneWriter,
 		ULat,

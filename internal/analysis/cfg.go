@@ -410,3 +410,100 @@ func (c *CFG) Reaches(src, dst *Block) bool {
 	}
 	return false
 }
+
+// cfgSCC is an iterative Tarjan over the CFG: comp maps each block index
+// to its strongly connected component, numbered in Tarjan's emission
+// order, and isLoop marks the components that cycle (more than one
+// block, or a self edge). Every component is kept, escapable or not —
+// a string-copy loop with a break is still a loop for latency purposes;
+// goleak's sccLoops filters for the inescapable ones.
+func cfgSCC(cfg *CFG) (comp []int, isLoop []bool) {
+	n := len(cfg.Blocks)
+	comp = make([]int, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	index := make([]int, n)
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	for i := range index {
+		index[i] = -1
+	}
+	var stack []int
+	var compSizes []int
+	next := 0
+
+	type frame struct {
+		v  int
+		ei int
+	}
+	for root := 0; root < n; root++ {
+		if index[root] != -1 {
+			continue
+		}
+		var call []frame
+		call = append(call, frame{root, 0})
+		index[root] = next
+		low[root] = next
+		next++
+		stack = append(stack, root)
+		onStack[root] = true
+		for len(call) > 0 {
+			f := &call[len(call)-1]
+			blk := cfg.Blocks[f.v]
+			if f.ei < len(blk.Succs) {
+				wi := blk.Succs[f.ei].Index
+				f.ei++
+				if index[wi] == -1 {
+					index[wi] = next
+					low[wi] = next
+					next++
+					stack = append(stack, wi)
+					onStack[wi] = true
+					call = append(call, frame{wi, 0})
+				} else if onStack[wi] && index[wi] < low[f.v] {
+					low[f.v] = index[wi]
+				}
+				continue
+			}
+			v := f.v
+			call = call[:len(call)-1]
+			if len(call) > 0 {
+				parent := call[len(call)-1].v
+				if low[v] < low[parent] {
+					low[parent] = low[v]
+				}
+			}
+			if low[v] == index[v] {
+				id := len(compSizes)
+				size := 0
+				for {
+					wv := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					onStack[wv] = false
+					comp[wv] = id
+					size++
+					if wv == v {
+						break
+					}
+				}
+				compSizes = append(compSizes, size)
+			}
+		}
+	}
+
+	isLoop = make([]bool, len(compSizes))
+	for i, sz := range compSizes {
+		if sz > 1 {
+			isLoop[i] = true
+		}
+	}
+	for _, blk := range cfg.Blocks {
+		for _, s := range blk.Succs {
+			if s.Index == blk.Index {
+				isLoop[comp[blk.Index]] = true
+			}
+		}
+	}
+	return comp, isLoop
+}

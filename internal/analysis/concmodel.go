@@ -566,113 +566,25 @@ func (ix *cfgIndex) ordered(ablk *Block, aord int, bblk *Block, bord int) bool {
 // blocks have no successor outside the component. A body stuck in such a
 // component never reaches the exit block.
 func sccLoops(cfg *CFG) [][]*Block {
-	// Tarjan, iterative.
-	n := len(cfg.Blocks)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
+	comp, isLoop := cfgSCC(cfg)
+	comps := make([][]*Block, len(isLoop))
+	for _, b := range cfg.Blocks {
+		comps[comp[b.Index]] = append(comps[comp[b.Index]], b)
 	}
-	var stack []*Block
-	var comps [][]*Block
-	next := 0
-
-	type frame struct {
-		b  *Block
-		si int
-	}
-	var dfs []frame
-	push := func(b *Block) {
-		index[b.Index] = next
-		low[b.Index] = next
-		next++
-		stack = append(stack, b)
-		onStack[b.Index] = true
-		dfs = append(dfs, frame{b: b})
-	}
-	for _, root := range cfg.Blocks {
-		if index[root.Index] != -1 {
+	entry := cfg.Blocks[0]
+	var out [][]*Block
+	for id, blocks := range comps {
+		if !isLoop[id] {
 			continue
 		}
-		push(root)
-		for len(dfs) > 0 {
-			f := &dfs[len(dfs)-1]
-			if f.si < len(f.b.Succs) {
-				s := f.b.Succs[f.si]
-				f.si++
-				if index[s.Index] == -1 {
-					push(s)
-				} else if onStack[s.Index] {
-					if index[s.Index] < low[f.b.Index] {
-						low[f.b.Index] = index[s.Index]
-					}
-				}
-				continue
-			}
-			b := f.b
-			dfs = dfs[:len(dfs)-1]
-			if len(dfs) > 0 {
-				p := dfs[len(dfs)-1].b
-				if low[b.Index] < low[p.Index] {
-					low[p.Index] = low[b.Index]
-				}
-			}
-			if low[b.Index] == index[b.Index] {
-				var comp []*Block
-				for {
-					t := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[t.Index] = false
-					comp = append(comp, t)
-					if t == b {
-						break
-					}
-				}
-				comps = append(comps, comp)
-			}
-		}
-	}
-
-	// Keep components that cycle (size > 1, or a self edge) and have no
-	// escape edge, and are reachable from entry.
-	reach := make([]bool, n)
-	reach[cfg.Blocks[0].Index] = true
-	work := []*Block{cfg.Blocks[0]}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, s := range b.Succs {
-			if !reach[s.Index] {
-				reach[s.Index] = true
-				work = append(work, s)
-			}
-		}
-	}
-	var out [][]*Block
-	for _, comp := range comps {
-		in := make(map[*Block]bool, len(comp))
-		for _, b := range comp {
-			in[b] = true
-		}
-		cycles := len(comp) > 1
 		escapes := false
-		reachable := false
-		for _, b := range comp {
-			if reach[b.Index] {
-				reachable = true
-			}
+		for _, b := range blocks {
 			for _, s := range b.Succs {
-				if s == b {
-					cycles = true
-				}
-				if !in[s] {
-					escapes = true
-				}
+				escapes = escapes || comp[s.Index] != id
 			}
 		}
-		if cycles && !escapes && reachable {
-			out = append(out, comp)
+		if !escapes && (comp[entry.Index] == id || cfg.Reaches(entry, blocks[0])) {
+			out = append(out, blocks)
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,13 +9,17 @@ import (
 	"vax780/internal/latency"
 )
 
+// updateLatency rewrites the committed latency table instead of checking
+// it: `go test -run '^TestLatencyTruth$' ./internal/analysis -args -update`
+// (make latency).
+var updateLatency = flag.Bool("update", false, "rewrite latency.json and LATENCY.md from the microroutines")
+
 // TestLatencyTruth re-derives the static latency table from the real
-// module and demands the committed latency.json be byte-identical — the
-// static half of the oracle's drift gate (the rendered LATENCY.md is
-// diffed by `vaxlat -check` in CI and `make latency-truth`). A
-// one-cycle change to any microroutine moves its bounds, fails this
-// test, and forces the regenerated table into review; an opcode whose
-// bounds stop being derivable is a finding and fails the same way.
+// module and demands the committed latency.json and its LATENCY.md
+// rendering be byte-identical — the static half of the oracle's drift
+// gate. A one-cycle change to any microroutine moves its bounds, fails
+// this test, and forces the regenerated table into review; an opcode
+// whose bounds stop being derivable is a finding and fails the same way.
 func TestLatencyTruth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and re-derives the whole module")
@@ -35,15 +40,27 @@ func TestLatencyTruth(t *testing.T) {
 		t.Fatal("derivation produced an empty opcode table; the registration scan is broken")
 	}
 
-	want, err := tab.Marshal()
+	js, err := tab.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(root, latency.File))
-	if err != nil {
-		t.Fatalf("committed table: %v", err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("committed %s drifted from the microroutines; regenerate with `go run ./cmd/vaxlat` and review the diff", latency.File)
+	for _, f := range []struct {
+		name string
+		want []byte
+	}{{latency.File, js}, {latency.Doc, tab.Markdown()}} {
+		path := filepath.Join(root, f.name)
+		if *updateLatency {
+			if err := os.WriteFile(path, f.want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("committed table: %v", err)
+		}
+		if string(got) != string(f.want) {
+			t.Errorf("committed %s drifted from the microroutines; regenerate with `make latency` and review the diff", f.name)
+		}
 	}
 }

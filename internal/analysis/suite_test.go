@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -9,10 +10,6 @@ import (
 	"vax780/internal/analysis"
 	"vax780/internal/analysis/analysistest"
 )
-
-func TestExecTable(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.ExecTable, "exectable")
-}
 
 func TestUWRef(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.UWRef, "uwref")
@@ -48,10 +45,6 @@ func TestUWFlow(t *testing.T) {
 
 func TestUWDead(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.UWDead, "uwdead")
-}
-
-func TestRowScope(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.RowScope, "rowscope")
 }
 
 func TestHotPath(t *testing.T) {
@@ -102,8 +95,8 @@ func TestConcClean(t *testing.T) {
 // TestSuiteSize pins the suite's advertised size: growing it without
 // updating the docs (README, Makefile) should fail loudly here.
 func TestSuiteSize(t *testing.T) {
-	if got := len(analysis.All()); got != 18 {
-		t.Fatalf("analysis.All() reports %d analyzers, want 18", got)
+	if got := len(analysis.All()); got != 16 {
+		t.Fatalf("analysis.All() reports %d analyzers, want 16", got)
 	}
 }
 
@@ -124,11 +117,10 @@ func TestUWValueClean(t *testing.T) {
 	}
 }
 
-// TestUWClean proves the three µflow analyzers stay silent on a fixture
-// that counts every class on its proper channel, reaches every word, and
-// keeps each exec file inside its row.
+// TestUWClean proves the two µflow analyzers stay silent on a fixture
+// that counts every class on its proper channel and reaches every word.
 func TestUWClean(t *testing.T) {
-	for _, a := range []*analysis.Analyzer{analysis.UWFlow, analysis.UWDead, analysis.RowScope} {
+	for _, a := range []*analysis.Analyzer{analysis.UWFlow, analysis.UWDead} {
 		analysistest.Run(t, "testdata", a, "uwclean")
 	}
 }
@@ -253,4 +245,34 @@ func diagDump(diags []analysis.Diagnostic) string {
 		b.WriteString("  " + d.String() + "\n")
 	}
 	return b.String()
+}
+
+// BenchmarkAnalyzers measures the suite's own cost: one module load,
+// then one sub-benchmark per analyzer over the whole tree, reporting its
+// findings count next to ns/op — a count that quietly drops to zero is
+// as much a regression signal as a runtime that doubles. Run with
+// `go test -run '^$' -bench BenchmarkAnalyzers -benchtime 1x ./internal/analysis`.
+func BenchmarkAnalyzers(b *testing.B) {
+	pkgs, err := analysis.LoadModule(filepath.Join("..", ".."), []string{"./..."})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, a := range analysis.All() {
+		b.Run(a.Name, func(b *testing.B) {
+			n := 0
+			for i := 0; i < b.N; i++ {
+				diags, err := analysis.Run([]*analysis.Analyzer{a}, pkgs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n = 0
+				for _, d := range diags {
+					if d.Analyzer == a.Name {
+						n++
+					}
+				}
+			}
+			b.ReportMetric(float64(n), "findings")
+		})
+	}
 }

@@ -16,6 +16,7 @@ func init() {
 	register(TICKX, execTickx)
 	register(TABX, handlerTable[0]) // want `opcode TABX: handler expression cannot be resolved statically; latency bounds underivable`
 	register(ROWX, execRowx)        // want `opcode ROWX: microword bank\.fl \(row RowFloat\) counted outside its Table 8 row RowSimple`
+	register(Op(7), execRowx)       // want `register\(\) opcode argument cannot be resolved statically`
 }
 
 func execTickx(m *Machine) {

@@ -1,6 +1,6 @@
 // Package uwclean is the negative fixture: every class counted on its
-// own channel, every word reachable, every exec file touching only its
-// row. All three µflow analyzers must stay silent on it.
+// own channel, every word reachable. Both µflow analyzers must stay
+// silent on it.
 package uwclean
 
 import "uwucode"

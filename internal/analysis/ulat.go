@@ -21,13 +21,14 @@ import (
 // the execute-phase cycles the routine can count. Data-dependent loops
 // (string, decimal, field scans, register-mask pushes) are detected via
 // SCC condensation of the CFG and annotated with their loop variable
-// rather than reported as unbounded. The derivation is emitted by
-// cmd/vaxlat as the committed LATENCY.md + latency.json regression
-// oracle; the analyzer itself reports what makes an opcode's bounds
-// underivable — an unresolvable handler, a tick count that is neither
-// constant nor inside a loop, a microword operand that resolves to no
-// handle — plus any counted microword whose row disagrees with the
-// opcode's registered Table 8 row.
+// rather than reported as unbounded. The derivation is committed as the
+// latency.json + LATENCY.md regression oracle (TestLatencyTruth diffs
+// both and rewrites them with -update); the analyzer itself reports what
+// makes an opcode's bounds underivable — a register() opcode argument
+// or handler it cannot resolve, a tick count that is neither constant
+// nor inside a loop, a microword operand that resolves to no handle —
+// plus any counted microword whose row disagrees with the opcode's
+// registered Table 8 row.
 var ULat = &Analyzer{
 	Name:        "ulat",
 	Doc:         "derive static per-opcode latency bounds and check counted rows against the Table 8 registration",
@@ -42,9 +43,9 @@ func runULat(pass *Pass) error {
 
 // DeriveLatencyTable runs the ulat derivation over an already-loaded
 // module and returns the table alongside the findings the analyzer
-// would report. It is the entry point for cmd/vaxlat and the
-// latency-truth test; pkgs must share one FileSet (LoadModule and
-// LoadTestdataPackages both guarantee this).
+// would report. It is the entry point for TestLatencyTruth, which
+// checks and regenerates the committed files; pkgs must share one
+// FileSet (LoadModule and LoadTestdataPackages both guarantee this).
 func DeriveLatencyTable(pkgs []*Package) (*latency.Table, []Diagnostic, error) {
 	if len(pkgs) == 0 {
 		return &latency.Table{Version: latency.Version}, nil, nil
@@ -473,7 +474,7 @@ func (w *latWalker) walk(r *resolvedFn) *latCost {
 		blockCost[blk.Index] = bc
 	}
 
-	comp, compLoop := ulatSCC(flow.cfg)
+	comp, compLoop := cfgSCC(flow.cfg)
 	ncomp := 0
 	for _, c := range comp {
 		if c+1 > ncomp {
@@ -1008,102 +1009,6 @@ func loopVarAt(spans []loopSpan, pos token.Pos) string {
 }
 
 // ---------------------------------------------------------------------------
-// General SCCs (iterative Tarjan; unlike concmodel's sccLoops this keeps
-// every component, escapable or not — a string-copy loop with a break is
-// still a loop for latency purposes)
-
-func ulatSCC(cfg *CFG) (comp []int, isLoop []bool) {
-	n := len(cfg.Blocks)
-	comp = make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int
-	var compSizes []int
-	next := 0
-
-	type frame struct {
-		v  int
-		ei int
-	}
-	for root := 0; root < n; root++ {
-		if index[root] != -1 {
-			continue
-		}
-		var call []frame
-		call = append(call, frame{root, 0})
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(call) > 0 {
-			f := &call[len(call)-1]
-			blk := cfg.Blocks[f.v]
-			if f.ei < len(blk.Succs) {
-				wi := blk.Succs[f.ei].Index
-				f.ei++
-				if index[wi] == -1 {
-					index[wi] = next
-					low[wi] = next
-					next++
-					stack = append(stack, wi)
-					onStack[wi] = true
-					call = append(call, frame{wi, 0})
-				} else if onStack[wi] && index[wi] < low[f.v] {
-					low[f.v] = index[wi]
-				}
-				continue
-			}
-			v := f.v
-			call = call[:len(call)-1]
-			if len(call) > 0 {
-				parent := call[len(call)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				id := len(compSizes)
-				size := 0
-				for {
-					wv := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[wv] = false
-					comp[wv] = id
-					size++
-					if wv == v {
-						break
-					}
-				}
-				compSizes = append(compSizes, size)
-			}
-		}
-	}
-
-	isLoop = make([]bool, len(compSizes))
-	for i, sz := range compSizes {
-		if sz > 1 {
-			isLoop[i] = true
-		}
-	}
-	for _, blk := range cfg.Blocks {
-		for _, s := range blk.Succs {
-			if s.Index == blk.Index {
-				isLoop[comp[blk.Index]] = true
-			}
-		}
-	}
-	return comp, isLoop
-}
-
-// ---------------------------------------------------------------------------
 // Registrations and the table
 
 // latRegistration is one register() call with its handler expression.
@@ -1115,9 +1020,13 @@ type latRegistration struct {
 	pos     token.Pos
 }
 
-func collectLatRegistrations(pkgs []*Package) []latRegistration {
+// collectLatRegistrations resolves every register() call of the load
+// to its opcode names and handler expression. A call whose opcode
+// argument cannot be resolved statically is a finding: its opcodes would
+// silently drop out of the table.
+func collectLatRegistrations(pass *Pass) []latRegistration {
 	var out []latRegistration
-	for _, pkg := range pkgs {
+	for _, pkg := range pass.All {
 		pkg := pkg
 		WalkWithStack(pkg, func(stack []ast.Node, n ast.Node) {
 			call, ok := n.(*ast.CallExpr)
@@ -1130,7 +1039,9 @@ func collectLatRegistrations(pkgs []*Package) []latRegistration {
 			}
 			names, ok := resolveOpcodeArg(pkg, stack, call.Args[0])
 			if !ok {
-				return // exectable reports the unresolvable opcode argument
+				pass.Reportf(call.Args[0].Pos(),
+					"register() opcode argument cannot be resolved statically; use a constant or range over a composite literal")
+				return
 			}
 			var scopes []*ast.BlockStmt
 			for i := len(stack) - 1; i >= 0; i-- {
@@ -1147,6 +1058,125 @@ func collectLatRegistrations(pkgs []*Package) []latRegistration {
 		})
 	}
 	return out
+}
+
+// resolveOpcodeArg maps a register() first argument to opcode constant
+// names. It understands three shapes:
+//
+//	register(vax.MOVL, fn)                      // direct constant
+//	for _, op := range []vax.Opcode{...} { register(op, fn) }
+//	for _, e := range []struct{...}{...} { register(e.op2, fn) }
+func resolveOpcodeArg(pkg *Package, stack []ast.Node, arg ast.Expr) ([]string, bool) {
+	// Direct constant reference?
+	if id, ok := arg.(*ast.Ident); ok {
+		if c, ok := pkg.Info.Uses[id].(*types.Const); ok {
+			return []string{c.Name()}, true
+		}
+		// A plain variable: look for the enclosing range-over-literal.
+		return rangeElements(pkg, stack, id, "")
+	}
+	if sel, ok := arg.(*ast.SelectorExpr); ok {
+		if c, ok := pkg.Info.Uses[sel.Sel].(*types.Const); ok {
+			return []string{c.Name()}, true
+		}
+		// e.field: resolve through the enclosing range statement.
+		if base, ok := sel.X.(*ast.Ident); ok {
+			return rangeElements(pkg, stack, base, sel.Sel.Name)
+		}
+	}
+	return nil, false
+}
+
+// rangeElements finds the innermost enclosing `for _, v := range <lit>`
+// whose value variable is v, and extracts the opcode names of the literal
+// elements; field selects the struct field when the elements are structs
+// ("" for plain opcode elements).
+func rangeElements(pkg *Package, stack []ast.Node, v *ast.Ident, field string) ([]string, bool) {
+	for i := len(stack) - 1; i >= 0; i-- {
+		rs, ok := stack[i].(*ast.RangeStmt)
+		if !ok {
+			continue
+		}
+		val, ok := rs.Value.(*ast.Ident)
+		if !ok || val.Name != v.Name {
+			continue
+		}
+		lit, ok := rs.X.(*ast.CompositeLit)
+		if !ok {
+			return nil, false
+		}
+		var names []string
+		for _, elt := range lit.Elts {
+			e := elt
+			if field != "" {
+				row, ok := elt.(*ast.CompositeLit)
+				if !ok {
+					return nil, false
+				}
+				fe, ok := structFieldValue(pkg, lit, row, field)
+				if !ok {
+					return nil, false
+				}
+				e = fe
+			}
+			name, ok := opcodeRefName(e)
+			if !ok {
+				return nil, false
+			}
+			names = append(names, name)
+		}
+		return names, true
+	}
+	return nil, false
+}
+
+// structFieldValue returns the expression initializing the named field of
+// one struct row in a slice-of-structs composite literal.
+func structFieldValue(pkg *Package, slice *ast.CompositeLit, row *ast.CompositeLit, field string) (ast.Expr, bool) {
+	// Keyed form: {op2: vax.BISL2, ...}
+	for _, elt := range row.Elts {
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			if k, ok := kv.Key.(*ast.Ident); ok && k.Name == field {
+				return kv.Value, true
+			}
+		}
+	}
+	// Positional form: field order comes from the slice's element type.
+	tv, ok := pkg.Info.Types[slice]
+	if !ok {
+		return nil, false
+	}
+	sl, ok := tv.Type.Underlying().(*types.Slice)
+	if !ok {
+		return nil, false
+	}
+	st, ok := sl.Elem().Underlying().(*types.Struct)
+	if !ok {
+		return nil, false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if st.Field(i).Name() == field {
+			if i < len(row.Elts) {
+				return row.Elts[i], true
+			}
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// opcodeRefName returns the constant name of a direct opcode reference
+// (HALT or vax.HALT).
+func opcodeRefName(e ast.Expr) (string, bool) {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name, true
+	case *ast.SelectorExpr:
+		if _, ok := e.X.(*ast.Ident); ok {
+			return e.Sel.Name, true
+		}
+	}
+	return "", false
 }
 
 // opTableGroups maps opcode names to their opTable group constant name
@@ -1195,7 +1225,7 @@ func deriveULat(pass *Pass) *latency.Table {
 	tab := &latency.Table{
 		Version: latency.Version,
 		Note: "static per-opcode execute-phase cycle bounds derived from the microroutines " +
-			"(ulat analyzer, DESIGN.md §16); regenerate with `go run ./cmd/vaxlat`",
+			"(ulat analyzer, DESIGN.md §16); regenerate with `make latency`",
 	}
 	reported := make(map[string]bool)
 	report := func(pos token.Pos, format string, args ...any) {
@@ -1208,7 +1238,7 @@ func deriveULat(pass *Pass) *latency.Table {
 		pass.Reportf(pos, "%s", msg)
 	}
 
-	for _, reg := range collectLatRegistrations(pass.All) {
+	for _, reg := range collectLatRegistrations(pass) {
 		label := strings.Join(reg.names, ",")
 		if len(reg.names) > 3 {
 			label = fmt.Sprintf("%s,… (%d opcodes)", reg.names[0], len(reg.names))

@@ -10,8 +10,8 @@ package analysis
 // listing reports.
 //
 // Reachability is a module-wide property — a handle defined in
-// internal/cpu could be counted from any importer — so unlike uwflow and
-// rowscope this analyzer runs module-level, over the whole load at once,
+// internal/cpu could be counted from any importer — so unlike uwflow
+// this analyzer runs module-level, over the whole load at once,
 // and needs no facts: the µflow model is built with every package's
 // bindings and summaries in one table.
 //

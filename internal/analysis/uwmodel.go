@@ -9,8 +9,8 @@ import (
 	"strings"
 )
 
-// µflow handle model. The three attribution analyzers (uwflow, uwdead,
-// rowscope) share one view of the world:
+// µflow handle model. The attribution analyzers (uwflow, uwdead) and the
+// ulat latency derivation share one view of the world:
 //
 //   - a *handle* is one Define()d microword: its folded name (wildcards
 //     for computed segments, exactly as uwref folds them), its declared
@@ -91,9 +91,8 @@ type uwChanFact struct {
 func (*uwChanFact) AFact() {}
 
 // uwModel is the shared analysis state over one set of packages: the
-// package under analysis for the fact-passing analyzers (uwflow,
-// rowscope), the whole load for the module-wide reachability proof
-// (uwdead).
+// package under analysis for the fact-passing uwflow, the whole load
+// for the module-wide reachability proof (uwdead) and for ulat.
 type uwModel struct {
 	pass *Pass
 	pkgs []*Package

@@ -17,9 +17,9 @@ type execFn func(m *Machine)
 
 var execTable [256]execFn
 
-// register attaches the execute microroutine of one opcode. The exectable
-// analyzer (cmd/vaxlint) proves table/handler consistency at build time;
-// this runtime check remains as defense in depth.
+// register attaches the execute microroutine of one opcode. A duplicate
+// panics at package init; a missing or orphaned one fails the semantics
+// and latency-oracle coverage tests (DESIGN.md §16).
 func register(op vax.Opcode, fn execFn) {
 	if execTable[op] != nil {
 		name := fmt.Sprintf("opcode %#02x", uint8(op))
@@ -32,7 +32,7 @@ func register(op vax.Opcode, fn execFn) {
 }
 
 // RegisteredOpcodes returns the opcodes with an execute microroutine, in
-// ascending code order. The latency oracle (cmd/vaxlat, DESIGN.md §16)
+// ascending code order. The latency oracle (latency.json, DESIGN.md §16)
 // sweeps exactly this set: its committed table must cover every entry,
 // and cover nothing else.
 func RegisteredOpcodes() []vax.Opcode {

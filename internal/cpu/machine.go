@@ -258,16 +258,7 @@ func (m *Machine) QueueIRQ(q IRQ) {
 }
 
 // tick executes one non-stalled cycle at control-store location w.
-func (m *Machine) tick(w uint16) {
-	m.upc = w
-	if m.probe != nil && m.gate {
-		m.probe.Count(w, 1)
-	}
-	m.cycle++
-	if m.wdLimit != 0 && m.cycle-m.wdLastRetire > m.wdLimit {
-		m.watchdogExpire()
-	}
-}
+func (m *Machine) tick(w uint16) { m.count(w, 1, false) }
 
 // ticks executes n cycles at w (a microcode loop revisiting one location).
 func (m *Machine) ticks(w uint16, n int) {
@@ -281,24 +272,27 @@ func (m *Machine) stall(w uint16, n uint64) {
 	if n == 0 {
 		return
 	}
-	m.upc = w
-	if m.probe != nil && m.gate {
-		m.probe.Stall(w, n)
-	}
-	m.cycle += n
-	if m.wdLimit != 0 && m.cycle-m.wdLastRetire > m.wdLimit {
-		m.watchdogExpire()
-	}
+	m.count(w, n, true)
 }
 
 // ibStallTick burns one cycle waiting for IB bytes, counted as an
 // execution of the dedicated stall location w (§4.3).
-func (m *Machine) ibStallTick(w uint16) {
+func (m *Machine) ibStallTick(w uint16) { m.count(w, 1, false) }
+
+// count is the epilogue every counting primitive shares: n cycles at w,
+// reported to a gated probe as stalled or executed, then the clock and
+// the progress watchdog advance. The primitives keep their own names —
+// uwflow tells the count channels apart by the primitive called.
+func (m *Machine) count(w uint16, n uint64, stalled bool) {
 	m.upc = w
 	if m.probe != nil && m.gate {
-		m.probe.Count(w, 1)
+		if stalled {
+			m.probe.Stall(w, n)
+		} else {
+			m.probe.Count(w, n)
+		}
 	}
-	m.cycle++
+	m.cycle += n
 	if m.wdLimit != 0 && m.cycle-m.wdLastRetire > m.wdLimit {
 		m.watchdogExpire()
 	}

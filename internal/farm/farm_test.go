@@ -229,9 +229,11 @@ func TestFarmPauseResume(t *testing.T) {
 	res, err := f.Run(ctx)
 	var intr *Interrupted
 	if err == nil {
-		// The sweep beat the cancel; nothing was paused. Still a valid
-		// (if less interesting) pass of the equality check.
-		t.Log("farm completed before the cancel landed")
+		// The sweep beat the cancel: a nil error must mean nothing was
+		// left paused — every instance completed.
+		if res.Paused != 0 || res.Completed != testInstances {
+			t.Fatalf("Run returned nil with the sweep unfinished: %+v", res.Ledger)
+		}
 	} else if !errors.As(err, &intr) {
 		t.Fatalf("err = %v, want *Interrupted", err)
 	} else if res.Paused == 0 {

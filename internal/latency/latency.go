@@ -1,8 +1,8 @@
 // Package latency is the schema of the per-opcode latency table — the
 // speedup regression oracle of DESIGN.md §16. The static side (the ulat
-// analyzer in internal/analysis, emitted by cmd/vaxlat as LATENCY.md +
-// latency.json) derives per-class microcycle bounds from the execute
-// microroutines themselves; the dynamic side (internal/experiments)
+// analyzer in internal/analysis, committed as latency.json and, through
+// Markdown, as LATENCY.md) derives per-class microcycle bounds from the
+// execute microroutines themselves; the dynamic side (internal/experiments)
 // single-steps each opcode on a real Machine and must land inside those
 // bounds. The package deliberately imports nothing from the model: rows
 // and classes are carried as their Go constant names ("RowSimple",
@@ -14,8 +14,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // Bound is one per-class microcycle interval: the fewest and the most
@@ -185,31 +185,139 @@ func (o *Opcode) Check(measured map[string]uint64) []string {
 	return probs
 }
 
-// Root walks up from dir (or the working directory when dir is empty)
-// to the module root — the nearest ancestor holding go.mod — so tests
-// and tools can locate the committed latency.json wherever they run.
-func Root(dir string) (string, error) {
-	if dir == "" {
-		wd, err := os.Getwd()
-		if err != nil {
-			return "", err
-		}
-		dir = wd
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod above %s", dir)
-		}
-		dir = parent
-	}
-}
-
 // File is the committed table's file name at the module root.
 const File = "latency.json"
 
 // Doc is the committed human-readable rendering's file name.
 const Doc = "LATENCY.md"
+
+// classOrder fixes the column order of the rendering: the execute-phase
+// classes in rough pipeline order, then anything the derivation ever
+// produces beyond them, alphabetically.
+var classOrder = []string{"ClassCompute", "ClassRead", "ClassWrite", "ClassDispatch"}
+
+func classColumns(tab *Table) []string {
+	seen := make(map[string]bool)
+	for _, c := range classOrder {
+		seen[c] = true
+	}
+	var extra []string
+	note := func(c string) {
+		if !seen[c] {
+			seen[c] = true
+			extra = append(extra, c)
+		}
+	}
+	for _, op := range tab.Opcodes {
+		for c := range op.Classes {
+			note(c)
+		}
+		for _, l := range op.Loops {
+			for c := range l.Classes {
+				note(c)
+			}
+		}
+	}
+	for _, mo := range tab.Modes {
+		for c := range mo.Classes {
+			note(c)
+		}
+	}
+	sort.Strings(extra)
+	return append(append([]string{}, classOrder...), extra...)
+}
+
+func bound(b Bound) string {
+	if b.Min == b.Max {
+		return fmt.Sprintf("%d", b.Min)
+	}
+	return fmt.Sprintf("%d–%d", b.Min, b.Max)
+}
+
+// Markdown renders the table as the committed LATENCY.md: one row per
+// opcode with its per-class bounds and loop terms, then one row per
+// addressing mode. Deterministic for identical content, like Marshal.
+func (t *Table) Markdown() []byte {
+	var sb strings.Builder
+	cols := classColumns(t)
+	short := func(c string) string { return strings.TrimPrefix(c, "Class") }
+
+	sb.WriteString("# Per-opcode latency table\n\n")
+	sb.WriteString("Static execute-phase microcycle bounds per `ucode.Class`, derived from the\n")
+	sb.WriteString("microroutines by the ulat analyzer (DESIGN.md §16). `min–max` spans the\n")
+	sb.WriteString("paths through the routine; a loop term `+k×var` relaxes the upper bound of\n")
+	sb.WriteString("its classes by k cycles per iteration of the data-dependent loop scaled by\n")
+	sb.WriteString("`var`. Service rows (Mem Mgmt, Int+Except, Abort) and IB-stall/marker\n")
+	sb.WriteString("cycles are excluded on both sides of the oracle. ⚖ marks FPA-configuration\n")
+	sb.WriteString("scaled costs (bounds hold for the default FPA-present machine).\n")
+	sb.WriteString("\nRegenerate with `make latency`; `TestLatencyTruth` fails on drift; the dynamic\n")
+	sb.WriteString("cross-check is `go test -run TestLatencyOracle ./internal/experiments`.\n\n")
+
+	sb.WriteString("## Opcodes\n\n")
+	sb.WriteString("| Opcode | Row |")
+	for _, c := range cols {
+		sb.WriteString(" " + short(c) + " |")
+	}
+	sb.WriteString(" Loop terms |\n")
+	sb.WriteString("|---|---|")
+	for range cols {
+		sb.WriteString("---|")
+	}
+	sb.WriteString("---|\n")
+	for _, op := range t.Opcodes {
+		name := op.Name
+		if op.Scaled {
+			name += " ⚖"
+		}
+		row := strings.TrimPrefix(op.Row, "Row")
+		sb.WriteString(fmt.Sprintf("| %s | %s |", name, row))
+		for _, c := range cols {
+			if b, ok := op.Classes[c]; ok {
+				sb.WriteString(" " + bound(b) + " |")
+			} else {
+				sb.WriteString(" · |")
+			}
+		}
+		var terms []string
+		for _, l := range op.Loops {
+			cs := make([]string, 0, len(l.Classes))
+			for c := range l.Classes {
+				cs = append(cs, c)
+			}
+			sort.Strings(cs)
+			for _, c := range cs {
+				terms = append(terms, fmt.Sprintf("+%d×%s %s", l.Classes[c], l.Var, short(c)))
+			}
+		}
+		if len(terms) == 0 {
+			sb.WriteString(" |\n")
+		} else {
+			sb.WriteString(" " + strings.Join(terms, ", ") + " |\n")
+		}
+	}
+
+	if len(t.Modes) > 0 {
+		sb.WriteString("\n## Addressing modes (read access, longword operand)\n\n")
+		sb.WriteString("| Mode |")
+		for _, c := range cols {
+			sb.WriteString(" " + short(c) + " |")
+		}
+		sb.WriteString("\n|---|")
+		for range cols {
+			sb.WriteString("---|")
+		}
+		sb.WriteString("\n")
+		for _, mo := range t.Modes {
+			sb.WriteString(fmt.Sprintf("| %s |", strings.TrimPrefix(mo.Mode, "Mode")))
+			for _, c := range cols {
+				if b, ok := mo.Classes[c]; ok {
+					sb.WriteString(" " + bound(b) + " |")
+				} else {
+					sb.WriteString(" · |")
+				}
+			}
+			sb.WriteString("\n")
+		}
+	}
+	return []byte(sb.String())
+}
