@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"vax780/internal/asm"
@@ -662,4 +664,59 @@ func containsSub(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// errCountCtx is a cancellable context that counts calls of Err.
+type errCountCtx struct {
+	context.Context
+	errs int
+}
+
+func (c *errCountCtx) Err() error {
+	c.errs++
+	return c.Context.Err()
+}
+
+// TestRunCtxCancelPoll cancels the context from inside a run: the machine
+// stops at the next instruction boundary with context.Canceled, having
+// asked the context for its error only once Done fired; Run with no
+// context then ends on its cycle budget.
+func TestRunCtxCancelPoll(t *testing.T) {
+	im, err := asm.Assemble(0x1000, `
+loop:	INCL	R0
+	BRB	loop
+`)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	m := New(Config{MemBytes: 1 << 20})
+	m.Mem.Load(im.Org, im.Bytes)
+	m.SetPC(im.Org)
+	base, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &errCountCtx{Context: base}
+	const stopAt = 100
+	m.OnInstruction = func(m *Machine) {
+		if m.Instructions() == stopAt {
+			cancel()
+		}
+	}
+	res := m.RunCtx(ctx, 1<<40)
+	if !errors.Is(res.Err, context.Canceled) {
+		t.Fatalf("cancelled run ended with %v, want context.Canceled", res.Err)
+	}
+	if res.Instructions != stopAt {
+		t.Errorf("cancelled run retired %d instructions, want %d", res.Instructions, stopAt)
+	}
+	if ctx.errs != 1 {
+		t.Errorf("Err called %d times, want once after Done fired", ctx.errs)
+	}
+
+	m.OnInstruction = nil
+	const budget = 1000
+	res = m.Run(budget)
+	if res.Err != nil || res.Halted || res.Cycles < budget || res.Cycles > budget+100 {
+		t.Errorf("Run(%d) ended after %d cycles (halted %v, err %v), want on budget",
+			budget, res.Cycles, res.Halted, res.Err)
+	}
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 
 	"vax780/internal/asm"
@@ -324,5 +325,68 @@ chmk:	HALT
 	res := fx.m.Run(100_000)
 	if res.Err == nil {
 		t.Fatal("expected an unhandled-exception error")
+	}
+}
+
+// TestIStreamFaultStopsInstruction puts the rest of an instruction on an
+// invalid page: the I-stream fault taken while the I-box waits for those
+// bytes must end the instruction there. The handler's first instruction
+// then runs intact, the exception frame holds the faulting instruction's
+// PC, and no specifier dispatch is charged for the handler's bytes.
+func TestIStreamFaultStopsInstruction(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		src  string
+		// pad places src so that the named take is the first to wait
+		// for the byte at 0x400, the first of P0 page 2.
+		pad int
+		// dispatches counts the specifier dispatches before the fault.
+		dispatches uint64
+	}{
+		{"second specifier", "\tMOVL R1, R2", 510, 1},
+		{"branch displacement", "l:\tBRB l", 511, 0},
+		{"quadword immediate", "\tMOVQ #0x123456789, R2", 509, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fx := newVMFixture(t, fmt.Sprintf("\t.space %d\n%s\n", c.pad, c.src), `
+pf:	MOVL	#0x1234, R5
+	HALT
+`)
+			m := fx.m
+			m.Mem.WriteLong(0x10000+4*2, 0) // P0 page 2 invalid
+			m.Mem.WriteLong(fxSCBPhys+SCBTransInval, fxKernCode)
+			instPC := uint32(fxUserCode + c.pad)
+			m.SetPC(instPC)
+
+			res := m.Run(100_000)
+			if res.Err != nil || !res.Halted {
+				t.Fatalf("run: halted=%v err=%v", res.Halted, res.Err)
+			}
+			if m.R[5] != 0x1234 {
+				t.Errorf("handler's first instruction did not run intact: R5 = %#x", m.R[5])
+			}
+			if m.HW().Exceptions != 1 {
+				t.Errorf("exceptions = %d, want 1", m.HW().Exceptions)
+			}
+			// The frame is PSL, PC, then the faulting address, pushed down
+			// from the top of the kernel stack.
+			frame := uint32(fxKernStack & 0x3FFFFFFF)
+			if pc := m.Mem.ReadLong(frame - 8); pc != instPC {
+				t.Errorf("pushed PC = %#x, want the instruction's %#x", pc, instPC)
+			}
+			if va := m.Mem.ReadLong(frame - 12); va != 0x400 {
+				t.Errorf("faulting address = %#x, want 0x400", va)
+			}
+			// The handler's MOVL dispatches two specifiers.
+			var dispatches uint64
+			for _, bank := range uw.spec {
+				for _, w := range bank.dispatch {
+					dispatches += fx.probe.counts[w]
+				}
+			}
+			if want := c.dispatches + 2; dispatches != want {
+				t.Errorf("specifier dispatches = %d, want %d", dispatches, want)
+			}
+		})
 	}
 }

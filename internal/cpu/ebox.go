@@ -324,7 +324,19 @@ func (m *Machine) tbMissService(va uint32, st tb.Stream) {
 // IB-stall location stallW.
 
 // ibWait blocks until the IB holds n bytes, servicing I-stream TB misses.
+// When the fill state has already been advanced to the current cycle and
+// holds the bytes, there is nothing to simulate: the common case returns
+// without a call.
 func (m *Machine) ibWait(n int, stallW uint16) {
+	if m.ib.valid >= n && m.ib.advanced >= m.cycle {
+		return
+	}
+	m.ibFill(n, stallW)
+}
+
+// ibFill is ibWait's loop: advance the fill state, then stall or service
+// a TB miss until n bytes are buffered.
+func (m *Machine) ibFill(n int, stallW uint16) {
 	const guard = 1 << 20
 	for i := 0; ; i++ {
 		if m.halted || m.runErr != nil {
@@ -349,10 +361,11 @@ func (m *Machine) ibWait(n int, stallW uint16) {
 // takeExtra consumes n further bytes that arrive with the same dispatch
 // (no additional cycle, but the wait can still IB-stall). The result is
 // valid only until the next IB interaction or memory write (see
-// ibox.peek).
+// ibox.peek). After an abort during the wait the IB holds the handler's
+// bytes, so the take hands back zeros and consumes nothing.
 func (m *Machine) takeExtra(stallW uint16, n int) []byte {
 	m.ibWait(n, stallW)
-	if m.runErr != nil {
+	if m.aborted() {
 		return m.ib.zeroed(n)
 	}
 	return m.ib.consume(n)

@@ -152,11 +152,13 @@ func (m *Machine) dispSize() int {
 }
 
 // takeDisp consumes the branch displacement with the one-cycle B-DISP
-// target calculation and returns the branch target.
+// target calculation and returns the branch target. After an abort
+// during the wait (an I-stream fault redirected the IB to its handler)
+// it consumes nothing and returns the handler's address.
 func (m *Machine) takeDisp() uint32 {
 	n := m.dispSize()
 	m.ibWait(n, uw.bdispStall)
-	if m.runErr != nil {
+	if m.aborted() {
 		return m.ib.cur()
 	}
 	b := m.ib.consume(n)
@@ -176,6 +178,9 @@ func (m *Machine) takeDisp() uint32 {
 // consumed in the execute phase to redirect the IB").
 func (m *Machine) branchTake(takenWord uint16) {
 	target := m.takeDisp()
+	if m.aborted() {
+		return
+	}
 	m.redirect(takenWord, target)
 }
 

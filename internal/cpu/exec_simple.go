@@ -321,7 +321,12 @@ func init() {
 	bsb := func(m *Machine) {
 		m.tick(uw.brBSBEntry)
 		target := m.takeDisp()
-		m.push32(uw.brBSBPush, m.ib.cur())
+		// After an abort the IB already points at the handler, and a push
+		// would move SP off the exception frame; the redirect goes to the
+		// handler either way.
+		if !m.aborted() {
+			m.push32(uw.brBSBPush, m.ib.cur())
+		}
 		m.redirect(uw.brBSBTaken, target)
 	}
 	register(vax.BSBB, bsb)

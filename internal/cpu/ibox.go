@@ -165,13 +165,17 @@ func (ib *ibox) translate(va uint32) (uint32, bool) {
 // lie in the frame window's page come straight out of the frame; the
 // rest are copied into the scratch buffer by loadVirt. Either way each
 // byte handed out is one RDS sample, as a memory read, and the result is
-// invalidated by the next peek, consume or memory write.
+// invalidated by the next peek, consume or memory write. A result taken
+// from the window keeps the rest of the page as its capacity: while the
+// memory's write generation and the memory-management registers stay
+// put, reslicing it to more bytes reads what a longer peek would,
+// without the samples.
 func (ib *ibox) peek(n int) []byte {
 	off := int(ib.ptr & mmu.PageMask)
 	if ib.ptr>>mmu.PageShift|memoValid == ib.winTag && off+n <= mmu.PageSize &&
 		ib.winGen == ib.m.Mem.Gen() {
 		ib.m.Mem.Sampled(ib.winPA+uint32(off), n)
-		return ib.win[off : off+n : off+n]
+		return ib.win[off : off+n]
 	}
 	return ib.peekMiss(n)
 }
@@ -192,11 +196,11 @@ func (ib *ibox) peekMiss(n int) []byte {
 				ib.winTag = ib.ptr>>mmu.PageShift | memoValid
 				ib.winGen, ib.winRegs = m.Mem.Gen(), m.MMU
 				m.Mem.Sampled(pa, n)
-				return f[off : off+n : off+n]
+				return f[off : off+n]
 			}
 		}
 	}
-	out := ib.scratch[:n]
+	out := ib.scratch[:n:n]
 	m.loadVirt(ib.ptr, out)
 	return out
 }
@@ -232,12 +236,13 @@ func (ib *ibox) consume(n int) []byte {
 	ib.ptr += uint32(n)
 	ib.valid -= n
 	ib.stats.BytesConsumed += uint64(n)
-	return b
+	return b[:n:n]
 }
 
-// consumeFree advances the IB pointer past n bytes without requiring them
-// to be buffered (used for the displacement bytes of untaken branches,
-// which the hardware skips without a dedicated cycle).
+// consumeFree advances the IB pointer past n bytes without reading them
+// or requiring them to be buffered: the displacement bytes of untaken
+// branches, which the hardware skips without a dedicated cycle, and
+// specifier bytes the decode has already read.
 func (ib *ibox) consumeFree(n int) {
 	ib.ptr += uint32(n)
 	ib.valid -= n

@@ -35,8 +35,9 @@ const CycleNanoseconds = 200
 // The probe is passive: implementations must not mutate machine state.
 type Probe interface {
 	// Count records n executed (non-stalled) cycles at a control-store
-	// location. n > 1 only for IB-stall locations, whose execution count
-	// is defined to be the stall cycle count.
+	// location: a microcode loop revisiting one location reports its
+	// iterations in one call. An IB-stall location's execution count is
+	// defined to be the stall cycle count.
 	Count(upc uint16, n uint64)
 	// Stall records n read- or write-stalled cycles at the location of
 	// the stalled microinstruction.
@@ -260,11 +261,26 @@ func (m *Machine) QueueIRQ(q IRQ) {
 // tick executes one non-stalled cycle at control-store location w.
 func (m *Machine) tick(w uint16) { m.count(w, 1, false) }
 
-// ticks executes n cycles at w (a microcode loop revisiting one location).
+// ticks executes n cycles at w (a microcode loop revisiting one location)
+// as one count. A watchdog that expires inside the run splits it at the
+// expiry cycle, so the error records the cycle and µPC that n single
+// ticks would.
 func (m *Machine) ticks(w uint16, n int) {
-	for i := 0; i < n; i++ {
-		m.tick(w)
+	if n <= 0 {
+		return
 	}
+	k := uint64(n)
+	if m.wdLimit != 0 {
+		upTo := uint64(1) // ticks up to and including the one that expires
+		if used := m.cycle - m.wdLastRetire; used <= m.wdLimit {
+			upTo = m.wdLimit - used + 1
+		}
+		if upTo < k {
+			m.count(w, upTo, false)
+			k -= upTo
+		}
+	}
+	m.count(w, k, false)
 }
 
 // stall accounts n read-/write-stalled cycles at w.
@@ -393,10 +409,16 @@ func (m *Machine) RunCtx(ctx context.Context, maxCycles uint64) RunResult {
 	start := m.cycle
 	startInst := m.instret
 	var ctxErr error
+	// The poll is a non-blocking receive on Done; Err, which locks a
+	// cancellable context, runs only once Done has fired.
+	done := ctx.Done()
+run:
 	for !m.halted && m.runErr == nil && m.cycle-start < maxCycles {
-		if err := ctx.Err(); err != nil {
-			ctxErr = err
-			break
+		select {
+		case <-done:
+			ctxErr = ctx.Err()
+			break run
+		default:
 		}
 		m.StepInstruction()
 		if m.OnInstruction != nil {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"math"
 
 	"vax780/internal/vax"
@@ -33,24 +34,26 @@ func (m *Machine) runSpecifier(i int, os vax.OperandSpec) {
 	op := &m.ops[i]
 	*op = operand{acc: os.Access, dt: os.Type}
 
-	// Determine the specifier's I-stream length by peeking at the mode
-	// byte(s); the decode hardware needs the bytes present, so waiting
-	// here is IB stall charged to this bank's stall location.
+	// Determine the specifier's I-stream length from its mode byte, after
+	// any index prefix; the decode hardware needs the bytes present, so
+	// waiting here is IB stall charged to this bank's stall location. An
+	// I-stream fault taken during a wait has redirected the IB to its
+	// handler, whose bytes are not this specifier's: stop there.
 	m.ibWait(1, bank.stall)
-	if m.runErr != nil {
+	if m.aborted() {
 		return
 	}
 	prefix := 0
-	b0 := m.ib.peek(1)[0]
-	if b0>>4 == 4 { // index prefix
+	b := m.ib.peek(1)
+	if b[0]>>4 == 4 { // index prefix
 		prefix = 1
 		m.ibWait(2, bank.stall)
-		if m.runErr != nil {
+		if m.aborted() {
 			return
 		}
-		b0 = m.ib.peek(2)[1]
+		b = m.ib.peek(2)
 	}
-	total := prefix + 1 + specExtraBytes(b0, os.Type)
+	total := prefix + int(specModes[b[prefix]].size[os.Type])
 	if total > ibSize {
 		// An 8-byte immediate (9 I-stream bytes) cannot fit the IB at
 		// once: the hardware consumes it in two dispatch cycles.
@@ -58,21 +61,25 @@ func (m *Machine) runSpecifier(i int, os vax.OperandSpec) {
 		return
 	}
 	m.ibWait(total, bank.stall)
-	if m.runErr != nil {
+	if m.aborted() {
 		return
 	}
-	spec, n, err := vax.DecodeSpecifier(m.ib.peek(total), os.Type)
-	if err != nil {
+	// Decode in one pass from the slice peeked above: read from the
+	// window, it holds the whole specifier unless that runs off the
+	// page. With an RDS sampler attached every byte read is a sample,
+	// so the bytes are peeked and consumed again: each sample stays on
+	// the byte and in the order it always had.
+	sampled := m.Mem.Sampling()
+	if sampled || cap(b) < total {
+		b = m.ib.peek(total)
+	}
+	if !decodeSpec(&op.spec, b[:total]) {
 		// A malformed specifier is architecturally a reserved addressing
 		// mode fault, not a simulator stop.
 		m.deliverException(SCBReservedAddr, nil)
 		return
 	}
-	if n != total {
-		m.fail("specifier decode at pc %#x: consumed %d of %d bytes", m.ib.cur(), n, total)
-		return
-	}
-	op.spec = spec
+	spec := &op.spec
 	if spec.Indexed {
 		bank = &uw.spec[1]
 	}
@@ -80,14 +87,18 @@ func (m *Machine) runSpecifier(i int, os vax.OperandSpec) {
 
 	// Consume the specifier bytes: one dispatch cycle at the mode's entry
 	// location (a second for immediates wider than the 4-byte data path).
-	m.ib.consume(total)
+	if sampled {
+		m.ib.consume(total)
+	} else {
+		m.ib.consumeFree(total)
+	}
 	m.tick(bank.dispatch[spec.Mode])
-	if spec.Mode == vax.ModeImmediate && os.Type.Size() > 4 {
+	sz := os.Type.Size()
+	if spec.Mode == vax.ModeImmediate && sz > 4 {
 		m.tick(bank.immExtra)
 	}
 
 	// Mode-specific operand processing.
-	sz := os.Type.Size()
 	switch spec.Mode {
 	case vax.ModeLiteral:
 		op.val = expandLiteral(uint8(spec.Disp), os.Type)
@@ -156,13 +167,16 @@ func (m *Machine) wideImmediate(bank *specBank, op *operand, os vax.OperandSpec)
 	// takeExtra hands out the IB's scratch buffer, so the second helping
 	// overwrites the first.
 	lo := m.takeExtra(bank.stall, 4)
+	if m.aborted() {
+		return
+	}
 	var v uint64
 	for i := 0; i < 4; i++ {
 		v |= uint64(lo[i]) << (8 * i)
 	}
 	m.tick(bank.immExtra)
 	hi := m.takeExtra(bank.stall, 4)
-	if m.runErr != nil {
+	if m.aborted() {
 		return
 	}
 	for i := 0; i < 4; i++ {
@@ -182,26 +196,89 @@ func (m *Machine) specBase(r vax.Reg) uint32 {
 	return m.R[r]
 }
 
-// specExtraBytes returns the I-stream bytes that follow a specifier's mode
-// byte.
-func specExtraBytes(modeByte uint8, t vax.DataType) int {
-	mode := modeByte >> 4
-	reg := modeByte & 0x0F
-	switch {
-	case mode <= 3: // literal
-		return 0
-	case mode == 8 && reg == 0x0F: // immediate
-		return t.Size()
-	case mode == 9 && reg == 0x0F: // absolute
-		return 4
-	case mode == 0xA || mode == 0xB:
-		return 1
-	case mode == 0xC || mode == 0xD:
-		return 2
-	case mode == 0xE || mode == 0xF:
-		return 4
+// specMode is the decode of one mode byte: a row of specModes.
+type specMode struct {
+	mode vax.AddrMode
+	// size is the specifier's I-stream length from the mode byte on, by
+	// operand data type (an index prefix comes on top); only an
+	// immediate's depends on the type.
+	size [vax.TypeFloatD + 1]uint8
+	// indexable marks a byte that may follow an index prefix: a memory
+	// mode. Mode 4, a second prefix, is not one.
+	indexable bool
+}
+
+// specModes is the specifier decode table, indexed by mode byte. It is
+// checked against vax.DecodeSpecifier, the reference decoder, for every
+// byte pair and data type.
+var specModes = func() (t [256]specMode) {
+	regModes := [16]vax.AddrMode{5: vax.ModeRegister, 6: vax.ModeRegDeferred,
+		7: vax.ModeAutoDec, 8: vax.ModeAutoInc, 9: vax.ModeAutoIncDef,
+		0xA: vax.ModeByteDisp, 0xB: vax.ModeByteDispDef, 0xC: vax.ModeWordDisp,
+		0xD: vax.ModeWordDispDef, 0xE: vax.ModeLongDisp, 0xF: vax.ModeLongDispDef}
+	dispBytes := [16]int{0xA: 1, 0xB: 1, 0xC: 2, 0xD: 2, 0xE: 4, 0xF: 4}
+	for b := range t {
+		mode, reg := b>>4, vax.Reg(b&0x0F)
+		e := &t[b]
+		extra := 0 // bytes after the mode byte
+		switch {
+		case mode <= 3:
+			e.mode = vax.ModeLiteral
+		case mode == 4:
+			// An index prefix where a mode byte belongs: one byte, and
+			// not indexable.
+		case mode == 8 && reg == vax.PC:
+			e.mode = vax.ModeImmediate
+		case mode == 9 && reg == vax.PC:
+			e.mode, extra = vax.ModeAbsolute, 4
+		default:
+			e.mode, extra = regModes[mode], dispBytes[mode]
+		}
+		e.indexable = e.mode.Indexable()
+		for dt := range e.size {
+			n := extra
+			if e.mode == vax.ModeImmediate {
+				n = vax.DataType(dt).Size()
+			}
+			e.size[dt] = uint8(1 + n)
+		}
 	}
-	return 0
+	return t
+}()
+
+// decodeSpec decodes the specifier that fills b, whose length was taken
+// from specModes, into the zero specifier *s. It returns false for a
+// reserved addressing mode: a second index prefix, PC as the index
+// register, or an index on a mode that references no memory.
+func decodeSpec(s *vax.Specifier, b []byte) bool {
+	ok := true
+	if b[0]>>4 == 4 {
+		s.Indexed, s.Index = true, vax.Reg(b[0]&0x0F)
+		b = b[1:]
+		ok = s.Index != vax.PC && specModes[b[0]].indexable
+	}
+	mb, x := b[0], b[1:]
+	s.Mode = specModes[mb].mode
+	switch s.Mode {
+	case vax.ModeLiteral:
+		s.Disp = int32(mb)
+		return ok
+	case vax.ModeImmediate, vax.ModeAbsolute:
+		for i, c := range x {
+			s.Imm |= uint64(c) << (8 * i)
+		}
+		return ok
+	}
+	s.Base = vax.Reg(mb & 0x0F)
+	switch len(x) {
+	case 1:
+		s.Disp = int32(int8(x[0]))
+	case 2:
+		s.Disp = int32(int16(binary.LittleEndian.Uint16(x)))
+	case 4:
+		s.Disp = int32(binary.LittleEndian.Uint32(x))
+	}
+	return ok
 }
 
 // storeResult writes val back to operand i (a write- or modify-access

@@ -85,3 +85,45 @@ loop:	SOBGTR	R7, loop
 		t.Fatal("program did not halt")
 	}
 }
+
+// TestTicksWatchdogSplit arms the watchdog so that it expires on the
+// first, a middle and the last cycle of one ticks run. The folded count
+// must stop the machine exactly as the same cycles ticked one at a time
+// do: the same error cycle, µPC, message and dump, the same final cycle
+// and the same histogram.
+func TestTicksWatchdogSplit(t *testing.T) {
+	const pre, n = 3, 8 // cycles before the run, cycles in it
+	for _, at := range []int{1, n / 2, n} {
+		run := func(perCycle bool) (*MachineError, *Machine, *testProbe) {
+			m := New(Config{MemBytes: 1 << 16})
+			p := newTestProbe()
+			m.AttachProbe(p)
+			m.SetWatchdog(uint64(pre + at - 1)) // expires on the run's cycle at
+			for i := 0; i < pre; i++ {
+				m.tick(uw.ird)
+			}
+			if perCycle {
+				for i := 0; i < n; i++ {
+					m.tick(uw.chWork)
+				}
+			} else {
+				m.ticks(uw.chWork, n)
+			}
+			var me *MachineError
+			if !errors.As(m.Err(), &me) {
+				t.Fatalf("expiry on cycle %d of %d: want *MachineError, got %v", at, n, m.Err())
+			}
+			return me, m, p
+		}
+		want, wm, wp := run(true)
+		got, gm, gp := run(false)
+		if got.Cycle != want.Cycle || got.UPC != want.UPC || got.Msg != want.Msg || got.Dump != want.Dump {
+			t.Errorf("expiry on cycle %d of %d: ticks stopped at cycle %d µpc %#04x %q, per-cycle at %d µpc %#04x %q",
+				at, n, got.Cycle, got.UPC, got.Msg, want.Cycle, want.UPC, want.Msg)
+		}
+		if gm.Cycle() != wm.Cycle() || gp.counts[uw.chWork] != wp.counts[uw.chWork] {
+			t.Errorf("expiry on cycle %d of %d: ticks ran to cycle %d with %d counts, per-cycle to %d with %d",
+				at, n, gm.Cycle(), gp.counts[uw.chWork], wm.Cycle(), wp.counts[uw.chWork])
+		}
+	}
+}

@@ -171,6 +171,9 @@ func (m *Memory) Sampled(pa uint32, n int) {
 	}
 }
 
+// Sampling reports whether an RDS sampler is attached (SetInjector).
+func (m *Memory) Sampling() bool { return m.inject != nil }
+
 func (m *Memory) sampleBytes(pa uint32, n int) {
 	for i := range uint32(n) {
 		if m.inject() {
