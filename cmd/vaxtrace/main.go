@@ -55,7 +55,7 @@ func main() {
 			if err != nil {
 				fatalf("%v", err)
 			}
-			if _, err := sys.AddProcess(fmt.Sprintf("p%d", i), im); err != nil {
+			if _, err := sys.AddProcess(fmt.Sprintf("p%d", i), im.Sparse()); err != nil {
 				fatalf("%v", err)
 			}
 		}

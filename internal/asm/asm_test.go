@@ -1,6 +1,9 @@
 package asm
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -294,5 +297,54 @@ func mustRunAsm(t *testing.T, im *Image) *asmProbe {
 func TestOrgBackwardFails(t *testing.T) {
 	if _, err := Assemble(0x1000, ".space 64\n.org 0x1010\n"); err == nil {
 		t.Error(".org behind the current address should fail")
+	}
+}
+
+// TestSparseMatchesImage: a Sparse image expands back to the image's
+// bytes, its runs are ordered and disjoint and hold every non-zero byte,
+// and a gap of gapWords zero words or more separates two runs.
+func TestSparseMatchesImage(t *testing.T) {
+	cases := map[string][]byte{
+		"empty":     nil,
+		"zeros":     make([]byte, 1000),
+		"tail":      append(make([]byte, 1001), 7),
+		"head":      append([]byte{1}, make([]byte, 300)...),
+		"short gap": append(append([]byte{1}, make([]byte, 8*gapWords-9)...), 2),
+		"long gap":  append(append([]byte{1}, make([]byte, 8*gapWords+7)...), 2),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := range 20 {
+		b := make([]byte, rng.Intn(4000))
+		for range rng.Intn(30) {
+			if len(b) > 0 {
+				b[rng.Intn(len(b))] = byte(rng.Intn(255) + 1)
+			}
+		}
+		cases[fmt.Sprintf("random %d", k)] = b
+	}
+	for name, b := range cases {
+		im := &Image{Org: 0x200, Bytes: b}
+		sp := im.Sparse()
+		if sp.Org != im.Org || sp.Len != uint32(len(b)) {
+			t.Errorf("%s: org %#x len %d, want %#x %d", name, sp.Org, sp.Len, im.Org, len(b))
+		}
+		got := make([]byte, sp.Len)
+		end := uint32(0)
+		for i, r := range sp.Runs {
+			if i > 0 && r.Off < end+8*gapWords {
+				t.Errorf("%s: run %d at %d follows a run ending at %d", name, i, r.Off, end)
+			}
+			copy(got[r.Off:], r.Bytes)
+			end = r.Off + uint32(len(r.Bytes))
+		}
+		if !bytes.Equal(got, b) && !(len(b) == 0 && len(got) == 0) {
+			t.Errorf("%s: expanded runs differ from the image", name)
+		}
+	}
+	if sp := (&Image{Bytes: cases["short gap"]}).Sparse(); len(sp.Runs) != 1 {
+		t.Errorf("short gap: %d runs, want 1", len(sp.Runs))
+	}
+	if sp := (&Image{Bytes: cases["long gap"]}).Sparse(); len(sp.Runs) != 2 {
+		t.Errorf("long gap: %d runs, want 2", len(sp.Runs))
 	}
 }

@@ -150,7 +150,8 @@ func TestSnapshotCompleteness(t *testing.T) {
 			name: "mem.Memory",
 			typ:  reflect.TypeOf(mem.Memory{}),
 			captured: map[string]string{
-				"data":     "MemoryState.Frames + MemoryState.Data (the non-zero frames; every frame not listed is zero)",
+				"chunks":   "MemoryState.Frames + MemoryState.Data (the non-zero frames; every frame not listed, absent chunks included, is zero)",
+				"size":     "MemoryState.Size",
 				"fault":    "MemoryState.Fault",
 				"hasFault": "MemoryState.HasFault",
 			},

@@ -390,3 +390,41 @@ pf:	MOVL	#0x1234, R5
 		})
 	}
 }
+
+// TestIndexedImmediateIsReservedAddressing: an index prefix on an
+// immediate is a reserved addressing mode fault whatever the data size.
+// The quadword case is 10 I-stream bytes, more than the IB holds, so it
+// takes its own path past the table decode; it must fault all the same,
+// not run the prefix as a mode byte.
+func TestIndexedImmediateIsReservedAddressing(t *testing.T) {
+	for _, c := range []struct{ name, src string }{
+		{"longword", "\t.byte 0xD0, 0x43, 0x8F, 1, 2, 3, 4, 0x52\n"},             // MOVL #, R2 indexed by R3
+		{"quadword", "\t.byte 0x7D, 0x43, 0x8F, 1, 2, 3, 4, 5, 6, 7, 8, 0x52\n"}, // MOVQ #, R2 indexed by R3
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fx := newVMFixture(t, c.src, `
+rsvd:	MOVL	#0x1234, R5
+	HALT
+`)
+			m := fx.m
+			m.Mem.WriteLong(fxSCBPhys+SCBReservedAddr, fxKernCode)
+			m.SetPC(fxUserCode)
+			res := m.Run(100_000)
+			if res.Err != nil || !res.Halted {
+				t.Fatalf("run: halted=%v err=%v", res.Halted, res.Err)
+			}
+			if m.R[5] != 0x1234 {
+				t.Errorf("reserved-addressing handler did not run: R5 = %#x", m.R[5])
+			}
+			if m.R[2] != 0 || m.R[3] != 0 {
+				t.Errorf("faulting move wrote R2/R3: %#x %#x", m.R[2], m.R[3])
+			}
+			if m.HW().Exceptions != 1 {
+				t.Errorf("exceptions = %d, want 1", m.HW().Exceptions)
+			}
+			if pc := m.Mem.ReadLong(fxKernStack&0x3FFFFFFF - 8); pc != fxUserCode {
+				t.Errorf("pushed PC = %#x, want the instruction's %#x", pc, uint32(fxUserCode))
+			}
+		})
+	}
+}

@@ -114,10 +114,11 @@ func (m *Machine) readVirt(va uint32, size int) uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// writeVirt stores the low size bytes of v at va. A byte that lands in a
-// page table may remap the bytes after it, so a store that advances the
-// memory's write generation ends the run and the next byte translates
-// again — the same result as translating every byte.
+// writeVirt stores the low size bytes of v at va. A run whose frame holds
+// no page table goes straight into the frame (mem.Frame). Otherwise a
+// byte that lands in a page table may remap the bytes after it, so a
+// store that advances the memory's write generation ends the run and the
+// next byte translates again — the same result as translating every byte.
 func (m *Machine) writeVirt(va uint32, size int, v uint64) {
 	for i := 0; i < size; {
 		a := va + uint32(i)
@@ -126,6 +127,15 @@ func (m *Machine) writeVirt(va uint32, size int, v uint64) {
 		if err != nil {
 			m.fail("functional write at %#x: %v", a, err)
 			return
+		}
+		if f := m.Mem.Frame(pa); f != nil && !m.Mem.Watched(pa) {
+			// No page table lives in the frame, so no byte of the run
+			// can remap the rest: store the run straight into it.
+			for end := i + n; i < end; i++ {
+				f[pa&mmu.PageMask] = byte(v >> (8 * i))
+				pa++
+			}
+			continue
 		}
 		gen := m.Mem.Gen()
 		for end := i + n; i < end; {

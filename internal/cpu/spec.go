@@ -56,7 +56,13 @@ func (m *Machine) runSpecifier(i int, os vax.OperandSpec) {
 	total := prefix + int(specModes[b[prefix]].size[os.Type])
 	if total > ibSize {
 		// An 8-byte immediate (9 I-stream bytes) cannot fit the IB at
-		// once: the hardware consumes it in two dispatch cycles.
+		// once: the hardware consumes it in two dispatch cycles. An
+		// index prefix on it is a reserved addressing mode, as for any
+		// immediate: the decode below would refuse it.
+		if prefix != 0 {
+			m.deliverException(SCBReservedAddr, nil)
+			return
+		}
 		m.wideImmediate(bank, op, os)
 		return
 	}

@@ -41,7 +41,7 @@ func soakSystem(t *testing.T, plane *fault.Plane) (*vmos.System, *core.Monitor) 
 		if err != nil {
 			t.Fatalf("generate: %v", err)
 		}
-		if _, err := sys.AddProcess(fmt.Sprintf("soak-%d", i), im); err != nil {
+		if _, err := sys.AddProcess(fmt.Sprintf("soak-%d", i), im.Sparse()); err != nil {
 			t.Fatalf("add process: %v", err)
 		}
 	}

@@ -14,6 +14,8 @@
 // check (internal/cpu, DESIGN.md "Fault model & machine checks").
 package mem
 
+import "encoding/binary"
+
 // FaultKind classifies a latched memory fault.
 type FaultKind int
 
@@ -46,9 +48,21 @@ type Fault struct {
 // at: the VAX's 512-byte page (mmu.PageShift).
 const frameShift = 9
 
+// The array is held in chunks of 1<<chunkShift bytes, each allocated on
+// the first write into it (or the first Frame handed out from it); an
+// absent chunk reads as zero. A machine therefore holds only the memory
+// its programs touch, and the one allocation, in chunk, happens at most
+// Size/64 KB times per machine. A page frame never straddles two chunks.
+const (
+	chunkShift = 16
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+)
+
 // Memory is the physical memory array (the paper's machines had 8 MB).
 type Memory struct {
-	data []byte
+	chunks []*[chunkSize]byte
+	size   uint32
 
 	// watch marks the frames holding page-table entries that a
 	// functional translation memo depends on (Watch); gen counts the
@@ -63,14 +77,38 @@ type Memory struct {
 	hasFault bool
 }
 
-// New returns a physical memory of the given size in bytes.
+// New returns a physical memory of the given size in bytes. It allocates
+// no array: every chunk starts absent, reading as zero.
 func New(size uint32) *Memory {
 	frames := (uint64(size) + 1<<frameShift - 1) >> frameShift
-	return &Memory{data: make([]byte, size), watch: make([]uint64, (frames+63)/64)}
+	return &Memory{
+		chunks: make([]*[chunkSize]byte, (uint64(size)+chunkMask)>>chunkShift),
+		size:   size,
+		watch:  make([]uint64, (frames+63)/64),
+	}
 }
 
 // Size returns the memory size in bytes.
-func (m *Memory) Size() uint32 { return uint32(len(m.data)) }
+func (m *Memory) Size() uint32 { return m.size }
+
+// chunk returns the chunk holding pa, allocating it on first use; pa must
+// be in range.
+func (m *Memory) chunk(pa uint32) *[chunkSize]byte {
+	c := m.chunks[pa>>chunkShift]
+	if c == nil {
+		c = new([chunkSize]byte) //vaxlint:allow hotpath -- first touch of a 64 KB chunk: at most Size/64 KB allocations per machine, never one per cycle in steady state
+		m.chunks[pa>>chunkShift] = c
+	}
+	return c
+}
+
+// at reads the byte at an in-range pa without allocating.
+func (m *Memory) at(pa uint32) byte {
+	if c := m.chunks[pa>>chunkShift]; c != nil {
+		return c[pa&chunkMask]
+	}
+	return 0
+}
 
 // Watch marks the frame(s) holding the longword at pa as page-table
 // frames: from now on any write into them advances the write generation.
@@ -88,8 +126,9 @@ func (m *Memory) Watch(pa uint32) {
 // memoized at one generation is known exact while Gen still returns it.
 func (m *Memory) Gen() uint64 { return m.gen }
 
-// watched reports whether pa lies in a watched frame; pa must be in range.
-func (m *Memory) watched(pa uint32) bool {
+// Watched reports whether pa lies in a frame Watch marked, where a write
+// advances the write generation; pa must be in range.
+func (m *Memory) Watched(pa uint32) bool {
 	f := pa >> frameShift
 	return m.watch[f>>6]&(1<<(f&63)) != 0
 }
@@ -117,7 +156,7 @@ func (m *Memory) latch(k FaultKind, pa uint32) {
 // check validates an access; out-of-range references latch a fault and
 // report false so the caller can complete the access benignly.
 func (m *Memory) check(pa uint32, n int) bool {
-	if uint64(pa)+uint64(n) > uint64(len(m.data)) {
+	if uint64(pa)+uint64(n) > uint64(m.size) {
 		m.latch(FaultRange, pa)
 		return false
 	}
@@ -143,7 +182,7 @@ func (m *Memory) Byte(pa uint32) byte {
 	if !m.readCheck(pa, 1) {
 		return 0
 	}
-	return m.data[pa]
+	return m.at(pa)
 }
 
 // Frame returns the 512-byte page frame (mmu.PageSize) holding pa as a
@@ -151,14 +190,15 @@ func (m *Memory) Byte(pa uint32) byte {
 // it at once. It is nil if the frame does not lie wholly inside the
 // array, where every access must go through Byte and latch its range
 // fault. Reading through a frame bypasses the RDS sampler; a reader
-// accounts the bytes it hands out with Sampled.
+// accounts the bytes it hands out with Sampled. A frame in an absent
+// chunk allocates the chunk, so the window aliases what later writes
+// store.
 func (m *Memory) Frame(pa uint32) []byte {
-	base := uint64(pa) &^ (1<<frameShift - 1)
-	end := base + 1<<frameShift
-	if end > uint64(len(m.data)) {
+	if uint64(pa|(1<<frameShift-1)) >= uint64(m.size) {
 		return nil
 	}
-	return m.data[base:end:end]
+	off := pa & chunkMask &^ (1<<frameShift - 1)
+	return m.chunk(pa)[off : off+1<<frameShift : off+1<<frameShift]
 }
 
 // Sampled accounts n byte reads starting at pa, all inside the array,
@@ -187,8 +227,15 @@ func (m *Memory) ReadLong(pa uint32) uint32 {
 	if !m.readCheck(pa, 4) {
 		return 0
 	}
-	return uint32(m.data[pa]) | uint32(m.data[pa+1])<<8 |
-		uint32(m.data[pa+2])<<16 | uint32(m.data[pa+3])<<24
+	if off := pa & chunkMask; off <= chunkSize-4 {
+		c := m.chunks[pa>>chunkShift]
+		if c == nil {
+			return 0
+		}
+		return binary.LittleEndian.Uint32(c[off : off+4])
+	}
+	return uint32(m.at(pa)) | uint32(m.at(pa+1))<<8 |
+		uint32(m.at(pa+2))<<16 | uint32(m.at(pa+3))<<24
 }
 
 // SetByte writes one byte at a physical address.
@@ -196,10 +243,10 @@ func (m *Memory) SetByte(pa uint32, v byte) {
 	if !m.check(pa, 1) {
 		return
 	}
-	if m.watched(pa) {
+	if m.Watched(pa) {
 		m.gen++
 	}
-	m.data[pa] = v
+	m.chunk(pa)[pa&chunkMask] = v
 }
 
 // WriteLong writes a longword at a physical address.
@@ -207,30 +254,44 @@ func (m *Memory) WriteLong(pa uint32, v uint32) {
 	if !m.check(pa, 4) {
 		return
 	}
-	if m.watched(pa) || m.watched(pa+3) {
+	if m.Watched(pa) || m.Watched(pa+3) {
 		m.gen++
 	}
-	m.data[pa] = byte(v)
-	m.data[pa+1] = byte(v >> 8)
-	m.data[pa+2] = byte(v >> 16)
-	m.data[pa+3] = byte(v >> 24)
+	if off := pa & chunkMask; off <= chunkSize-4 {
+		binary.LittleEndian.PutUint32(m.chunk(pa)[off:off+4], v)
+		return
+	}
+	for i := range uint32(4) {
+		m.chunk(pa + i)[(pa+i)&chunkMask] = byte(v >> (8 * i))
+	}
 }
 
-// Load copies a byte image into physical memory.
+// Load copies a byte image into physical memory, a chunk at a time.
 func (m *Memory) Load(pa uint32, b []byte) {
 	if !m.check(pa, len(b)) {
 		return
 	}
 	m.gen++
-	copy(m.data[pa:], b)
+	for len(b) > 0 {
+		n := copy(m.chunk(pa)[pa&chunkMask:], b)
+		b = b[n:]
+		pa += uint32(n)
+	}
 }
 
-// Read copies n bytes out of physical memory.
+// Read copies n bytes out of physical memory, a chunk at a time.
 func (m *Memory) Read(pa uint32, n int) []byte {
 	out := make([]byte, n)
 	if !m.readCheck(pa, n) {
 		return out
 	}
-	copy(out, m.data[pa:])
+	for i := 0; i < n; {
+		k := min(n-i, chunkSize-int(pa&chunkMask))
+		if c := m.chunks[pa>>chunkShift]; c != nil {
+			copy(out[i:i+k], c[pa&chunkMask:])
+		}
+		i += k
+		pa += uint32(k)
+	}
 	return out
 }

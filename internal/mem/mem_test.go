@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -102,6 +103,80 @@ func TestFrameAliasesMemory(t *testing.T) {
 	}
 	if g := m.Frame(1 << 30); g != nil {
 		t.Fatalf("frame past the array handed out (len %d)", len(g))
+	}
+}
+
+// TestChunkBoundary reads and writes across the boundary between two
+// chunks, with either side absent or present.
+func TestChunkBoundary(t *testing.T) {
+	const edge = chunkSize
+	m := New(3 * chunkSize)
+	if v := m.ReadLong(edge - 2); v != 0 {
+		t.Fatalf("ReadLong over absent chunks = %#x, want 0", v)
+	}
+	if n := present(m); n != 0 {
+		t.Fatalf("reads allocated %d chunks", n)
+	}
+	m.WriteLong(edge-2, 0x44332211)
+	if got := m.Read(edge-2, 4); !bytes.Equal(got, []byte{0x11, 0x22, 0x33, 0x44}) {
+		t.Fatalf("Read after WriteLong across the edge = % x", got)
+	}
+	if v := m.ReadLong(edge - 2); v != 0x44332211 {
+		t.Fatalf("ReadLong across the edge = %#x", v)
+	}
+	for pa, want := range map[uint32]byte{edge - 3: 0, edge - 2: 0x11, edge - 1: 0x22, edge: 0x33, edge + 1: 0x44, edge + 2: 0} {
+		if b := m.Byte(pa); b != want {
+			t.Errorf("Byte(%#x) = %#x, want %#x", pa, b, want)
+		}
+	}
+
+	// Load and Read over three chunks, the middle one whole.
+	img := make([]byte, chunkSize+200)
+	for i := range img {
+		img[i] = byte(i%253 + 1)
+	}
+	m = New(3 * chunkSize)
+	m.Load(edge-100, img)
+	if n := present(m); n != 3 {
+		t.Fatalf("Load over three chunks allocated %d", n)
+	}
+	if got := m.Read(edge-100, len(img)); !bytes.Equal(got, img) {
+		t.Fatal("Read of a Load across chunks differs")
+	}
+	if v, want := m.ReadLong(2*edge-1), uint32(img[edge+99])|uint32(img[edge+100])<<8|
+		uint32(img[edge+101])<<16|uint32(img[edge+102])<<24; v != want {
+		t.Fatalf("ReadLong across the second edge = %#x, want %#x", v, want)
+	}
+
+	// A Read that spans an absent chunk returns its zeros.
+	m = New(3 * chunkSize)
+	m.SetByte(0, 1)
+	m.SetByte(2*chunkSize, 2)
+	got := m.Read(0, 2*chunkSize+1)
+	if got[0] != 1 || got[2*chunkSize] != 2 || !bytes.Equal(got[1:2*chunkSize], make([]byte, 2*chunkSize-1)) {
+		t.Fatal("Read over an absent chunk is not zero between the written bytes")
+	}
+	if n := present(m); n != 2 {
+		t.Fatalf("Read allocated a chunk: %d present, want 2", n)
+	}
+}
+
+// TestFrameOverAbsentChunk: a frame handed out over a chunk nothing has
+// written yet still aliases the array, so every later write shows.
+func TestFrameOverAbsentChunk(t *testing.T) {
+	m := New(2 * chunkSize)
+	f := m.Frame(chunkSize + 512 + 3)
+	if len(f) != 512 || !bytes.Equal(f, make([]byte, 512)) {
+		t.Fatalf("frame over an absent chunk: len %d, non-zero bytes", len(f))
+	}
+	m.SetByte(chunkSize+512+1, 0xAB)
+	m.WriteLong(chunkSize+512+8, 0xdeadbeef)
+	m.Load(chunkSize+512+20, []byte{1, 2, 3})
+	if f[1] != 0xAB || f[8] != 0xef || f[11] != 0xde || !bytes.Equal(f[20:23], []byte{1, 2, 3}) {
+		t.Fatalf("frame misses later writes: % x", f[:24])
+	}
+	if n := present(m); n != 1 {
+		t.Fatalf("%d chunks present, want 1", n)
 	}
 }
 

@@ -35,12 +35,18 @@ type MemoryState struct {
 var zeroFrame [1 << frameShift]byte
 
 // ExportState captures the non-zero frames of the memory array and its
-// error latch.
+// error latch. Absent chunks are skipped unscanned: they hold only zeros.
 func (m *Memory) ExportState() MemoryState {
-	st := MemoryState{Size: uint32(len(m.data)), Fault: m.fault, HasFault: m.hasFault}
-	for f := range uint32((len(m.data) + 1<<frameShift - 1) >> frameShift) {
-		if frame := m.frameAt(f); !bytes.Equal(frame, zeroFrame[:len(frame)]) {
-			st.Frames = append(st.Frames, f)
+	st := MemoryState{Size: m.size, Fault: m.fault, HasFault: m.hasFault}
+	const perChunk = chunkSize >> frameShift
+	for i, c := range m.chunks {
+		if c == nil {
+			continue
+		}
+		for f := uint32(i) * perChunk; f < min(uint32(i+1)*perChunk, m.frames()); f++ {
+			if frame := m.frameAt(f); !bytes.Equal(frame, zeroFrame[:len(frame)]) {
+				st.Frames = append(st.Frames, f)
+			}
 		}
 	}
 	if len(st.Frames) > 0 {
@@ -52,26 +58,43 @@ func (m *Memory) ExportState() MemoryState {
 	return st
 }
 
-// frameAt returns frame f of the array; the last frame may be short.
+// frames returns the number of page frames in the array; the last one
+// may be short.
+func (m *Memory) frames() uint32 {
+	return uint32((uint64(m.size) + 1<<frameShift - 1) >> frameShift)
+}
+
+// frameLen returns the length of frame f inside the array.
+func (m *Memory) frameLen(f uint32) int {
+	return int(min(1<<frameShift, uint64(m.size)-uint64(f)<<frameShift))
+}
+
+// frameAt returns frame f of the array, or nil if its chunk is absent.
 func (m *Memory) frameAt(f uint32) []byte {
-	base := int(f) << frameShift
-	return m.data[base:min(base+1<<frameShift, len(m.data))]
+	pa := f << frameShift
+	c := m.chunks[pa>>chunkShift]
+	if c == nil {
+		return nil
+	}
+	off := pa & chunkMask
+	return c[off : off+uint32(m.frameLen(f))]
 }
 
 // ImportState restores a state captured from a memory of the same size.
 // It accepts only the canonical form ExportState produces and validates
 // the whole state before it writes a byte, so a rejected state leaves
-// the memory as it was.
+// the memory as it was. Chunks already present are cleared in place, so
+// a frame window taken before the import still aliases the live array.
 func (m *Memory) ImportState(st MemoryState) error {
-	if st.Size != m.Size() {
-		return fmt.Errorf("mem: snapshot is of a %d-byte memory, memory has %d", st.Size, len(m.data))
+	if st.Size != m.size {
+		return fmt.Errorf("mem: snapshot is of a %d-byte memory, memory has %d", st.Size, m.size)
 	}
 	if len(st.Data) != len(st.Frames)<<frameShift {
 		return fmt.Errorf("mem: snapshot holds %d bytes for %d frames", len(st.Data), len(st.Frames))
 	}
 	for i, f := range st.Frames {
-		if uint64(f)<<frameShift >= uint64(len(m.data)) {
-			return fmt.Errorf("mem: snapshot frame %d lies beyond a %d-byte memory", f, len(m.data))
+		if f >= m.frames() {
+			return fmt.Errorf("mem: snapshot frame %d lies beyond a %d-byte memory", f, m.size)
 		}
 		if i > 0 && f <= st.Frames[i-1] {
 			return fmt.Errorf("mem: snapshot frame %d follows frame %d", f, st.Frames[i-1])
@@ -80,13 +103,20 @@ func (m *Memory) ImportState(st MemoryState) error {
 		if bytes.Equal(data, zeroFrame[:]) {
 			return fmt.Errorf("mem: snapshot lists all-zero frame %d", f)
 		}
-		if n := len(m.frameAt(f)); !bytes.Equal(data[n:], zeroFrame[n:]) {
+		if n := m.frameLen(f); !bytes.Equal(data[n:], zeroFrame[n:]) {
 			return fmt.Errorf("mem: snapshot frame %d holds data beyond the end of memory", f)
 		}
 	}
-	clear(m.data)
+	for _, c := range m.chunks {
+		if c != nil {
+			clear(c[:])
+		}
+	}
 	for i, f := range st.Frames {
-		copy(m.frameAt(f), st.Data[i<<frameShift:])
+		// The padding of a short last frame is zero, and so is the chunk
+		// past the end of memory, so a whole frame can be copied.
+		pa := f << frameShift
+		copy(m.chunk(pa)[pa&chunkMask:], st.Data[i<<frameShift:(i+1)<<frameShift])
 	}
 	m.fault = st.Fault
 	m.hasFault = st.HasFault

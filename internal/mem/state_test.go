@@ -10,6 +10,18 @@ import (
 
 const frameSize = 1 << frameShift
 
+// fill sets byte i of m to f(i), for every byte.
+func fill(m *Memory, f func(i int) byte) {
+	b := make([]byte, m.Size())
+	for i := range b {
+		b[i] = f(i)
+	}
+	m.Load(0, b)
+}
+
+// contents returns a copy of every byte of m.
+func contents(m *Memory) []byte { return m.Read(0, int(m.Size())) }
+
 // roundTrip exports src, imports the state into a same-size memory whose
 // every byte is non-zero, and requires the two arrays to be identical:
 // the import must zero every frame the state omits.
@@ -17,13 +29,11 @@ func roundTrip(t *testing.T, src *Memory) MemoryState {
 	t.Helper()
 	st := src.ExportState()
 	dst := New(src.Size())
-	for i := range dst.data {
-		dst.data[i] = 0xff
-	}
+	fill(dst, func(int) byte { return 0xff })
 	if err := dst.ImportState(st); err != nil {
 		t.Fatalf("ImportState: %v", err)
 	}
-	if !bytes.Equal(dst.data, src.data) {
+	if !bytes.Equal(contents(dst), contents(src)) {
 		t.Fatal("imported memory differs from the exported one")
 	}
 	if again := dst.ExportState(); !reflect.DeepEqual(again, st) {
@@ -41,11 +51,9 @@ func TestMemoryStateRoundTripAllZero(t *testing.T) {
 
 func TestMemoryStateRoundTripAllNonZero(t *testing.T) {
 	m := New(8 * frameSize)
-	for i := range m.data {
-		m.data[i] = byte(i%255 + 1)
-	}
-	if st := roundTrip(t, m); len(st.Frames) != 8 || len(st.Data) != len(m.data) {
-		t.Errorf("exported %d frames, %d bytes; want 8 frames, %d bytes", len(st.Frames), len(st.Data), len(m.data))
+	fill(m, func(i int) byte { return byte(i%255 + 1) })
+	if st := roundTrip(t, m); len(st.Frames) != 8 || len(st.Data) != int(m.Size()) {
+		t.Errorf("exported %d frames, %d bytes; want 8 frames, %d bytes", len(st.Frames), len(st.Data), m.Size())
 	}
 }
 
@@ -87,6 +95,45 @@ func TestMemoryStateRoundTripSparse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMemoryStateRoundTripAbsentChunks: a memory that touched only some
+// of its chunks exports just their non-zero frames, an import into a
+// memory with every chunk present zeroes the rest, and an import into a
+// fresh memory allocates only the chunks the state lists frames in.
+func TestMemoryStateRoundTripAbsentChunks(t *testing.T) {
+	m := New(5*chunkSize + 100)
+	m.WriteLong(2*chunkSize+0x40, 0xcafef00d)
+	m.SetByte(m.Size()-1, 9)
+	if n := present(m); n != 2 {
+		t.Fatalf("%d chunks present after two writes, want 2", n)
+	}
+	st := roundTrip(t, m)
+	want := []uint32{2 * chunkSize >> frameShift, (m.Size() - 1) >> frameShift}
+	if !slices.Equal(st.Frames, want) {
+		t.Errorf("Frames = %v, want %v", st.Frames, want)
+	}
+	fresh := New(m.Size())
+	if err := fresh.ImportState(st); err != nil {
+		t.Fatal(err)
+	}
+	if n := present(fresh); n != 2 {
+		t.Errorf("import allocated %d chunks, want 2", n)
+	}
+	if !bytes.Equal(contents(fresh), contents(m)) {
+		t.Error("fresh import differs from the exported memory")
+	}
+}
+
+// present counts the chunks m has allocated.
+func present(m *Memory) int {
+	n := 0
+	for _, c := range m.chunks {
+		if c != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestMemoryStateCanonical: two memories with equal contents, written in
@@ -131,16 +178,14 @@ func TestMemoryImportRejects(t *testing.T) {
 		corrupt(&st)
 
 		m := New(src.Size())
-		for i := range m.data {
-			m.data[i] = byte(i*7 + 1)
-		}
+		fill(m, func(i int) byte { return byte(i*7 + 1) })
 		m.latch(FaultRDS, 0x44)
-		before, gen := slices.Clone(m.data), m.Gen()
+		before, gen := contents(m), m.Gen()
 		if err := m.ImportState(st); err == nil {
 			t.Errorf("%s: ImportState accepted the state", name)
 			continue
 		}
-		if !bytes.Equal(m.data, before) || m.Gen() != gen {
+		if !bytes.Equal(contents(m), before) || m.Gen() != gen {
 			t.Errorf("%s: rejected import changed the memory", name)
 		}
 		if f, ok := m.TakeFault(); !ok || f != (Fault{Kind: FaultRDS, Addr: 0x44}) {
@@ -185,12 +230,10 @@ func FuzzMemoryImport(f *testing.F) {
 			}
 		}
 		m := New(size)
-		for i := range m.data {
-			m.data[i] = byte(i%251 + 1)
-		}
-		before := slices.Clone(m.data)
+		fill(m, func(i int) byte { return byte(i%251 + 1) })
+		before := contents(m)
 		if err := m.ImportState(st); err != nil {
-			if !bytes.Equal(m.data, before) {
+			if !bytes.Equal(contents(m), before) {
 				t.Fatalf("rejected import (%v) changed the memory", err)
 			}
 			return
@@ -206,13 +249,16 @@ var exportSink MemoryState
 
 // BenchmarkMemoryExportState measures the export of an 8 MB memory with
 // 900 non-zero frames, about what a generated workload holds at 2M
-// cycles: the zero scan of the whole array plus the copy of the frames.
+// cycles: the zero scan of every chunk (900 random frames touch them
+// all) plus the copy of the frames.
 func BenchmarkMemoryExportState(b *testing.B) {
 	m := New(8 << 20)
 	rng := rand.New(rand.NewSource(1))
 	for _, f := range rng.Perm(int(m.Size()) >> frameShift)[:900] {
-		rng.Read(m.data[f<<frameShift : (f+1)<<frameShift])
-		m.data[f<<frameShift] = 1
+		frame := make([]byte, frameSize)
+		rng.Read(frame)
+		frame[0] = 1
+		m.Load(uint32(f)<<frameShift, frame)
 	}
 	b.SetBytes(int64(m.Size()))
 	b.ReportAllocs()

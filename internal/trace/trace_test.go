@@ -24,7 +24,7 @@ func capture(t *testing.T) (*cpu.Machine, *Recorder) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := s.AddProcess("w", im); err != nil {
+		if _, err := s.AddProcess("w", im.Sparse()); err != nil {
 			t.Fatal(err)
 		}
 	}

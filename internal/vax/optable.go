@@ -460,7 +460,10 @@ var opTable = []OpInfo{
 	{ASHP, "ASHP", GroupDecimal, []OperandSpec{rb(), rw(), ab(), rb(), rw(), ab()}, TypeNone, PCNone},
 }
 
-var opByCode [256]*OpInfo
+var (
+	opByCode [256]*OpInfo
+	opByName = make(map[string]*OpInfo, len(opTable))
+)
 
 func init() {
 	for i := range opTable {
@@ -468,10 +471,14 @@ func init() {
 		if opByCode[info.Code] != nil {
 			panic("vax: duplicate opcode " + info.Name)
 		}
+		if opByName[info.Name] != nil {
+			panic("vax: duplicate mnemonic " + info.Name)
+		}
 		if len(info.Specs) > 6 {
 			panic("vax: too many operand specifiers for " + info.Name)
 		}
 		opByCode[info.Code] = info
+		opByName[info.Name] = info
 	}
 }
 
@@ -480,14 +487,7 @@ func init() {
 func Lookup(code Opcode) *OpInfo { return opByCode[code] }
 
 // LookupName returns the description of an opcode by mnemonic, or nil.
-func LookupName(name string) *OpInfo {
-	for i := range opTable {
-		if opTable[i].Name == name {
-			return &opTable[i]
-		}
-	}
-	return nil
-}
+func LookupName(name string) *OpInfo { return opByName[name] }
 
 // All returns the descriptions of all implemented opcodes. The returned
 // slice must not be modified.

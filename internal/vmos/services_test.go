@@ -20,7 +20,7 @@ func runService(t *testing.T, userSrc string, cycles uint64) (*System, *core.Mon
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	if _, err := s.AddProcess("svc", im); err != nil {
+	if _, err := s.AddProcess("svc", im.Sparse()); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Boot(); err != nil {

@@ -150,16 +150,18 @@ func (s *System) allocFrames(n uint32) (uint32, error) {
 	return pa, nil
 }
 
-// AddProcess creates a process from a user image assembled into P0 space.
+// AddProcess creates a process from a user image assembled into P0 space,
+// given as its non-zero runs (asm.Image.Sparse): only those are copied
+// in, so the zeros of a program's data region cost the machine nothing.
 // The image org must be page-aligned or leave room below it in page 0.
-func (s *System) AddProcess(name string, im *asm.Image) (*Process, error) {
+func (s *System) AddProcess(name string, im *asm.Sparse) (*Process, error) {
 	if s.booted {
 		return nil, fmt.Errorf("vmos: cannot add processes after boot")
 	}
 	if len(s.procs) >= s.cfg.MaxProcesses {
 		return nil, fmt.Errorf("vmos: process table full")
 	}
-	progPages := (im.Org + uint32(len(im.Bytes)) + 4*mmu.PageSize + mmu.PageSize - 1) / mmu.PageSize
+	progPages := (im.Org + im.Len + 4*mmu.PageSize + mmu.PageSize - 1) / mmu.PageSize
 	stackPages := uint32(ustackSize / mmu.PageSize)
 	totalPages := progPages + stackPages
 
@@ -178,7 +180,9 @@ func (s *System) AddProcess(name string, im *asm.Image) (*Process, error) {
 		s.m.Mem.WriteLong(pt+4*j, mmu.MakePTE(base/mmu.PageSize+j, mmu.ProtUW))
 	}
 	// Load the program.
-	s.m.Mem.Load(base+im.Org, im.Bytes)
+	for _, r := range im.Runs {
+		s.m.Mem.Load(base+im.Org+r.Off, r.Bytes)
+	}
 
 	// PCB.
 	pcb, err := s.allocFrames(1)
@@ -224,7 +228,7 @@ func (s *System) addNullProcess() error {
 	if err != nil {
 		return err
 	}
-	p, err := s.AddProcess("NULL", im)
+	p, err := s.AddProcess("NULL", im.Sparse())
 	if err != nil {
 		return err
 	}

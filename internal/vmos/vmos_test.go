@@ -48,7 +48,7 @@ func buildSystemCfg(t *testing.T, nproc int, cfg Config) (*System, *core.Monitor
 		t.Fatalf("user assemble: %v", err)
 	}
 	for i := 0; i < nproc; i++ {
-		if _, err := s.AddProcess("worker", im); err != nil {
+		if _, err := s.AddProcess("worker", im.Sparse()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestBootErrors(t *testing.T) {
 		t.Error("double boot should fail")
 	}
 	im, _ := asm.Assemble(0x200, "HALT\n")
-	if _, err := s2.AddProcess("late", im); err == nil {
+	if _, err := s2.AddProcess("late", im.Sparse()); err == nil {
 		t.Error("AddProcess after boot should fail")
 	}
 }

@@ -58,13 +58,7 @@ func build(p Profile, cycles uint64, mcfg cpu.Config, plane *fault.Plane) (*sess
 	sys.Machine().AttachFaultPlane(plane)
 
 	for i := 0; i < p.Procs; i++ {
-		im, err := generateShared(GenConfig{
-			Mix:       p.Mix,
-			Blocks:    p.Blocks,
-			LoopIter:  p.LoopIter,
-			StringLen: p.StringLen,
-			Seed:      p.Seed + int64(i)*1000,
-		})
+		im, err := generateShared(p.program(i))
 		if err != nil {
 			return nil, fmt.Errorf("workload %s: generate: %w", p.Name, err)
 		}
@@ -78,6 +72,17 @@ func build(p Profile, cycles uint64, mcfg cpu.Config, plane *fault.Plane) (*sess
 	sys.SetScriptText(p.Script)
 	sys.QueueTerminalEvents(p.TerminalSchedule(cycles))
 	return &session{p: p, cycles: cycles, sys: sys, mon: mon, plane: plane}, nil
+}
+
+// program returns the generation config of the profile's i-th process.
+func (p Profile) program(i int) GenConfig {
+	return GenConfig{
+		Mix:       p.Mix,
+		Blocks:    p.Blocks,
+		LoopIter:  p.LoopIter,
+		StringLen: p.StringLen,
+		Seed:      p.Seed + int64(i)*1000,
+	}
 }
 
 // result assembles the measurement from the session's current state.
