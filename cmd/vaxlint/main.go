@@ -19,9 +19,9 @@
 // resolved and every counted word inside its opcode's Table 8 row, the
 // table committed as latency.json and cross-checked dynamically
 // (DESIGN.md §16). It is a multichecker-style driver for the analyzers
-// in internal/analysis and is part of the tier-1 verify (Makefile
-// `check`); the suite runs with one goroutine per analyzer, findings
-// merged into one deterministic position order.
+// in internal/analysis, run by `make check`; tier-1 runs the same suite
+// over the module as TestTreeClean. The suite runs with one goroutine
+// per analyzer, findings merged into one deterministic position order.
 //
 // Usage:
 //

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -34,9 +35,8 @@ type allowKey struct {
 	line int
 }
 
-// allowIndex maps every source line carrying (or directly below) an
-// allow comment to its note. Built once per Run over every package of
-// the load.
+// allowIndex maps every source line an allow comment covers to its
+// note. Built once per Run over every package of the load.
 type allowIndex map[allowKey]*allowNote
 
 // covers reports whether the note names the analyzer.
@@ -49,28 +49,61 @@ func (n *allowNote) covers(analyzer string) bool {
 	return false
 }
 
-// buildAllowIndex scans the comments of pkgs for allow notes. A note is
-// indexed at its own line (suppressing trailing-comment findings) and at
-// the line below (suppressing findings on the annotated statement when
-// the comment stands alone above it).
+// buildAllowIndex scans the comments of pkgs for allow notes. A note
+// covers its own line; a note standing alone on its line also covers the
+// line below. A trailing note covers only the line it trails, so it
+// cannot excuse the next declaration or statement by accident.
 func buildAllowIndex(pkgs []*Package) allowIndex {
 	idx := make(allowIndex)
+	var file *ast.File
+	var code map[int]bool
+	eachAllow(pkgs, func(pkg *Package, f *ast.File, note *allowNote) {
+		if f != file {
+			file, code = f, codeLines(pkg.Fset, f)
+		}
+		p := pkg.Fset.Position(note.pos)
+		idx[allowKey{p.Filename, p.Line}] = note
+		if !code[p.Line] {
+			idx[allowKey{p.Filename, p.Line + 1}] = note
+		}
+	})
+	return idx
+}
+
+// eachAllow calls fn with every allow note of pkgs, file by file.
+func eachAllow(pkgs []*Package, fn func(pkg *Package, f *ast.File, note *allowNote)) {
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					if !strings.HasPrefix(c.Text, allowPrefix) {
-						continue
+					if strings.HasPrefix(c.Text, allowPrefix) {
+						fn(pkg, f, parseAllow(c.Text, c.Pos()))
 					}
-					note := parseAllow(c.Text, c.Pos())
-					p := pkg.Fset.Position(c.Pos())
-					idx[allowKey{p.Filename, p.Line}] = note
-					idx[allowKey{p.Filename, p.Line + 1}] = note
 				}
 			}
 		}
 	}
-	return idx
+}
+
+// codeLines returns the lines of f that hold the first or last token of
+// some syntax node: every line with code on it does, since its first
+// token begins a node or ends one. A line comment on such a line trails
+// code; on any other line it stands alone.
+func codeLines(fset *token.FileSet, f *ast.File) map[int]bool {
+	tf := fset.File(f.Pos())
+	lines := make(map[int]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup, *ast.Comment:
+			return false
+		}
+		if n.Pos().IsValid() && n.End().IsValid() {
+			lines[tf.Line(n.Pos())] = true
+			lines[tf.Line(n.End()-1)] = true
+		}
+		return true
+	})
+	return lines
 }
 
 // parseAllow splits "//vaxlint:allow a,b -- reason" into its parts. A
@@ -161,23 +194,9 @@ type AllowEntry struct {
 // file, then line — a deterministic listing independent of map order.
 func CollectAllows(pkgs []*Package) []AllowEntry {
 	var out []AllowEntry
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if !strings.HasPrefix(c.Text, allowPrefix) {
-						continue
-					}
-					note := parseAllow(c.Text, c.Pos())
-					out = append(out, AllowEntry{
-						Pos:       pkg.Fset.Position(c.Pos()),
-						Analyzers: note.analyzers,
-						Reason:    note.reason,
-					})
-				}
-			}
-		}
-	}
+	eachAllow(pkgs, func(pkg *Package, _ *ast.File, note *allowNote) {
+		out = append(out, AllowEntry{Pos: pkg.Fset.Position(note.pos), Analyzers: note.analyzers, Reason: note.reason})
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pos.Filename != out[j].Pos.Filename {
 			return out[i].Pos.Filename < out[j].Pos.Filename

@@ -24,11 +24,7 @@ func TestLatencyTruth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and re-derives the whole module")
 	}
-	root := moduleRootDir(t)
-	pkgs, err := LoadModule(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	root, pkgs := loadTree(t)
 	tab, diags, err := DeriveLatencyTable(pkgs)
 	if err != nil {
 		t.Fatal(err)

@@ -6,21 +6,20 @@ import (
 	"strings"
 )
 
-// StateComplete is the static twin of the checkpoint-completeness
-// reflection tests (internal/checkpoint, internal/cpu): every field of a
+// StateComplete is the checkpoint-completeness proof: every field of a
 // struct that has ExportState/ImportState methods must be referenced in
 // both bodies, or carry a justified exemption on its declaration line:
 //
 //	probe Probe //vaxlint:allow statecomplete -- attachment; re-attached on resume
 //
-// The runtime tests catch a forgotten field only when they run and only
-// because someone once wrote the table entry; this analyzer makes the
-// same omission a build failure at the field declaration itself. A field
-// counts as referenced when the method body selects it through the
+// so each field's checkpoint decision is recorded once, where the field
+// is declared, and TestTreeClean fails tier-1 on a field without one. A
+// field counts as referenced when the method body selects it through the
 // receiver (m.field, including as the base of a deeper selection like
-// m.ib.ptr); capture routed through helper calls (the hardware counters
-// travel via m.HW()) is exactly the indirection the analyzer cannot see,
-// and gets an exemption naming the helper.
+// m.hw.Unaligned). The analyzer does not follow helper calls, so state
+// travels by direct reference: a nested stateful value (the machine's
+// ibox) gets its own ExportState/ImportState pair, checked the same way,
+// and a field that travels whole (m.pendMC, m.hw) is referenced whole.
 var StateComplete = &Analyzer{
 	Name: "statecomplete",
 	Doc:  "every field of an ExportState/ImportState struct is captured or exempted",

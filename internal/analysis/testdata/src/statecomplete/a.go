@@ -6,15 +6,17 @@ type State struct {
 	D int
 }
 
-// Device has one field the snapshot silently drops (b), one field
-// captured on export but forgotten on import (d), and one justified
-// exemption (c — declared last: an allow note also covers the following
-// line, so it must not precede a field under test).
+// Device has one justified exemption (c), one field the snapshot
+// silently drops (b — declared right below c's trailing allow note,
+// which covers only its own line), and one field captured on export but
+// forgotten on import (d).
 type Device struct {
 	a int
+	c int //vaxlint:allow statecomplete -- derived scratch, rebuilt on first use
 	b int // want `field Device\.b is not referenced in ExportState or ImportState`
 	d int // want `field Device\.d is not referenced in ImportState`
-	c int //vaxlint:allow statecomplete -- derived scratch, rebuilt on first use
+	//vaxlint:allow statecomplete -- a note alone on its line covers the line below
+	e int
 }
 
 func (dv *Device) ExportState() State   { return State{A: dv.a, D: dv.d} }

@@ -32,8 +32,9 @@
 // percent of its 8 MB array, so a snapshot is some hundreds of kilobytes
 // rather than the array's full size, and encoding, checksumming and
 // writing it cost that much less. The form is canonical — equal
-// memories export equal states — so snapshots of equal runs stay
-// byte-identical.
+// memories export equal states — and no part of the snapshot is a map,
+// so snapshots of equal runs are byte-identical (format version 3;
+// TestEqualRunsEncodeIdentically in internal/workload).
 package checkpoint
 
 import (
@@ -53,9 +54,12 @@ import (
 
 // FormatVersion is the current snapshot format version. Decode rejects
 // snapshots from other versions (no silent cross-version resume).
-// Version 2 stores physical memory as its non-zero page frames
-// (mem.MemoryState); version 1 stored the whole array.
-const FormatVersion = 2
+// Version 3 carries per-process CPU time as a PCB-sorted list
+// (vmos.ProcTime) and the pending machine check as one value
+// (cpu.PendingMC); version 2 carried a map, which gob writes in random
+// order; version 1 stored physical memory as the whole array rather
+// than its non-zero page frames.
+const FormatVersion = 3
 
 var magic = [8]byte{'V', 'A', 'X', '7', '8', '0', 'C', 'P'}
 
@@ -78,9 +82,8 @@ type Meta struct {
 	Profile string
 	// Seed is the effective generation seed of the run's profile. Fleet
 	// runs (internal/farm) derive per-instance seeds from the registry
-	// profile, so the name alone under-identifies the run; resume honors
-	// this field over the registry seed. Zero (snapshots predating the
-	// field — gob leaves absent fields zero) means the registry default.
+	// profile, so the name alone under-identifies the run; resume
+	// rebuilds the program from this seed, never the registry's.
 	Seed int64
 	// TotalCycles is the run's full cycle budget; Cycle is how far the
 	// checkpointed run had progressed. Cycle >= TotalCycles marks a

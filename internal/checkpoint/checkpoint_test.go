@@ -13,6 +13,7 @@ import (
 
 	"vax780/internal/cpu"
 	"vax780/internal/fault"
+	"vax780/internal/vmos"
 )
 
 // testSnapshot builds a small but non-trivial snapshot: enough populated
@@ -34,7 +35,7 @@ func testSnapshot(cycle uint64) *Snapshot {
 	s.CPU.Cycle = cycle
 	s.CPU.Instret = cycle / 7
 	s.OS.NextClock = cycle + 100
-	s.OS.CPUTime = map[uint32]uint64{0x200: cycle / 2}
+	s.OS.CPUTime = []vmos.ProcTime{{PCB: 0x200, Cycles: cycle / 2}}
 	s.Monitor.Running = true
 	s.Monitor.Hist.Counts[100] = 42
 	return s
@@ -91,10 +92,11 @@ func TestDecodeRejectsDamage(t *testing.T) {
 // TestDecodeRejectsOtherVersion rebuilds a structurally valid snapshot
 // claiming another format version (checksum recomputed, so only the
 // version check can object) and requires ErrBadVersion — no silent
-// cross-version resume. Version 1, the whole-array memory format, is
-// one of them.
+// cross-version resume. Version 1, the whole-array memory format, and
+// version 2, whose CPU-time map gob wrote in random order, are among
+// them.
 func TestDecodeRejectsOtherVersion(t *testing.T) {
-	for _, v := range []uint32{1, FormatVersion + 1} {
+	for _, v := range []uint32{1, 2, FormatVersion + 1} {
 		var buf bytes.Buffer
 		if err := Encode(&buf, testSnapshot(1000)); err != nil {
 			t.Fatalf("Encode: %v", err)

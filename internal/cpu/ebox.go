@@ -269,7 +269,7 @@ func (m *Machine) readPhys(w uint16, pa uint32) uint32 {
 func (m *Machine) unalignedOverhead() {
 	m.tick(uw.mmAlignEntry)
 	m.tick(uw.mmAlignWork)
-	m.unaligned++
+	m.hw.Unaligned++
 }
 
 // ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ func (m *Machine) deliverIRQ(lvl uint8, vec uint16) {
 	m.ticks(uw.irqWork, 4)
 	m.ib.redirect(handler)
 	m.lastPCChange = true
-	m.irqDelivered++
+	m.hw.Interrupts++
 }
 
 // ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ func (m *Machine) deliverException(vec int, params []uint32) {
 	m.ib.redirect(handler)
 	m.lastPCChange = true
 	m.instAborted = true // skip the remaining phases of the faulted instruction
-	m.exceptions++
+	m.hw.Exceptions++
 	m.inExc = false
 }
 

@@ -131,7 +131,7 @@ func init() {
 		m.R[vax.SP] = ksp
 		m.push32(uw.ldpctxPush, psl)
 		m.push32(uw.ldpctxPush, pc)
-		m.ctxSwitches++
+		m.hw.CtxSwitches++
 	})
 
 	// INSQUE entry.ab, pred.ab: insert into a doubly-linked queue.

@@ -22,7 +22,7 @@ type IBStats struct {
 // fills autonomously while the EBOX computes: the fill state is advanced
 // lazily to the EBOX's current cycle before any interaction.
 type ibox struct {
-	m *Machine
+	m *Machine //vaxlint:allow statecomplete -- wiring to the owning machine
 
 	ptr   uint32 // VA of the next byte to deliver to I-Decode
 	valid int    // valid bytes buffered ahead of ptr (0..8)
@@ -45,7 +45,7 @@ type ibox struct {
 	// values before touching the IB again (wideImmediate is the
 	// two-helping case). Reusing one array keeps the per-cycle decode
 	// path allocation-free.
-	scratch [ibSize]byte
+	scratch [ibSize]byte //vaxlint:allow statecomplete -- transient decode buffer; its contents never outlive one peek/consume
 
 	// The frame window: win is the live physical frame under the page
 	// winTag names (VPN | memoValid; 0 = no window), winPA the physical
@@ -57,11 +57,11 @@ type ibox struct {
 	// an instruction drops the window (dropWindow). Because win aliases
 	// the array, a store into the code page shows through it with no
 	// invalidation.
-	win     []byte
-	winTag  uint32
-	winPA   uint32
-	winGen  uint64
-	winRegs mmu.Registers
+	win     []byte        //vaxlint:allow statecomplete -- derived: a slice of the memory array taken through vtop, retaken by the first peek after Machine.ImportState drops the window
+	winTag  uint32        //vaxlint:allow statecomplete -- derived: names the page win maps; Machine.ImportState drops the window
+	winPA   uint32        //vaxlint:allow statecomplete -- derived: the physical address of win[0], retaken with win
+	winGen  uint64        //vaxlint:allow statecomplete -- derived: only compared with the memory generation, which Memory.ImportState bumps
+	winRegs mmu.Registers //vaxlint:allow statecomplete -- derived: only compared with the MMU registers while a window is held; Machine.ImportState drops the window
 }
 
 const ibSize = 8

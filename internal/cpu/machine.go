@@ -137,22 +137,12 @@ type Machine struct {
 	// Machine-check state (see mcheck.go).
 	plane     *fault.Plane //vaxlint:allow statecomplete -- attachment; rebuilt from Meta.Fault, stream positions travel as FaultState
 	csSample  func() bool  //vaxlint:allow statecomplete -- attachment derived from the plane (control-store parity sampler, nil = never)
-	pendMC    pendingMC
+	pendMC    PendingMC
 	mcPending bool
 	mcActive  bool // a machine check is being handled (cleared by REI)
 
 	// Hardware event counters (not monitor-visible; used for cross-checks).
-	// They travel as State.HW: ExportState captures them through the HW()
-	// accessor, an indirection the statecomplete analyzer cannot follow,
-	// so each carries the exemption naming that path.
-	unaligned     uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.Unaligned
-	sirrRequests  uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.SIRRRequests
-	irqDelivered  uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.Interrupts
-	exceptions    uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.Exceptions
-	ctxSwitches   uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.CtxSwitches
-	machineChecks uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.MachineChecks
-	mcLost        uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.MachineChecksLost
-	mcByCause     [NumMCCauses]uint64 //vaxlint:allow statecomplete -- exported via HW() into State.HW.MachineChecksByCause
+	hw HWCounters
 
 	// OnInstruction, if set, runs between instructions (used by the OS
 	// layer for scheduling decisions and by the RTE for terminal events).
@@ -481,18 +471,7 @@ type HWCounters struct {
 }
 
 // HW returns the hardware event counters.
-func (m *Machine) HW() HWCounters {
-	return HWCounters{
-		Unaligned:            m.unaligned,
-		SIRRRequests:         m.sirrRequests,
-		Interrupts:           m.irqDelivered,
-		Exceptions:           m.exceptions,
-		CtxSwitches:          m.ctxSwitches,
-		MachineChecks:        m.machineChecks,
-		MachineChecksLost:    m.mcLost,
-		MachineChecksByCause: m.mcByCause,
-	}
-}
+func (m *Machine) HW() HWCounters { return m.hw }
 
 // setMode switches the current mode, banking the stack pointer.
 func (m *Machine) setMode(mode uint32) {

@@ -63,10 +63,10 @@ func (c MCCause) String() string {
 	return "unknown machine-check cause"
 }
 
-// pendingMC is a latched machine check awaiting delivery.
-type pendingMC struct {
-	cause MCCause
-	info  uint32
+// PendingMC is a latched machine check awaiting delivery.
+type PendingMC struct {
+	Cause MCCause
+	Info  uint32
 }
 
 // AttachFaultPlane wires a fault-injection plane into every injection
@@ -115,10 +115,10 @@ func (m *Machine) pollMachineChecks() {
 // error burst from nesting machine checks inside their own handler.
 func (m *Machine) pendMachineCheck(cause MCCause, info uint32) {
 	if m.mcActive || m.mcPending {
-		m.mcLost++
+		m.hw.MachineChecksLost++
 		return
 	}
-	m.pendMC = pendingMC{cause: cause, info: info}
+	m.pendMC = PendingMC{Cause: cause, Info: info}
 	m.mcPending = true
 }
 
@@ -130,8 +130,8 @@ func (m *Machine) deliverMachineCheck() {
 	mc := m.pendMC
 	m.mcPending = false
 	m.mcActive = true
-	m.machineChecks++
-	m.mcByCause[mc.cause]++
+	m.hw.MachineChecks++
+	m.hw.MachineChecksByCause[mc.Cause]++
 
 	m.tick(uw.mcEntry)
 	m.ticks(uw.mcWork, 4)
@@ -140,15 +140,15 @@ func (m *Machine) deliverMachineCheck() {
 	m.setMode(0)
 	m.push32(uw.mcPush, savedPSL)
 	m.push32(uw.mcPush, savedPC)
-	m.push32(uw.mcPush, uint32(mc.cause))
-	m.push32(uw.mcPush, mc.info)
+	m.push32(uw.mcPush, uint32(mc.Cause))
+	m.push32(uw.mcPush, mc.Info)
 	m.push32(uw.mcPush, 8) // byte count of {info, cause}
 	handler := m.readSCB(uw.mcVec, uint16(SCBMachineChk))
 	if m.runErr != nil {
 		return
 	}
 	if handler == 0 {
-		m.fail("machine check (%v, info %#x) with no SCB handler", mc.cause, mc.info)
+		m.fail("machine check (%v, info %#x) with no SCB handler", mc.Cause, mc.Info)
 		return
 	}
 	m.PSL = m.PSL&^(0x1F<<16) | 31<<16

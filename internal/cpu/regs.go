@@ -143,7 +143,7 @@ func (m *Machine) prWrite(n, v uint32) {
 		// Request software interrupt at level v (1..15).
 		if v >= 1 && v <= IPLSoftMax {
 			m.ipr[IPRSlotSISR] |= 1 << v
-			m.sirrRequests++
+			m.hw.SIRRRequests++
 		}
 	case PRSISR:
 		m.ipr[IPRSlotSISR] = v & 0xFFFE

@@ -23,9 +23,11 @@ import (
 //     which are dead at the boundary where checkpoints are taken;
 //   - the sticky error state: a stopped machine cannot be checkpointed.
 //
-// The completeness test in internal/checkpoint walks Machine's fields
-// against this struct and an explicit exemption table, so a new field
-// cannot be silently dropped from the snapshot.
+// Every field of Machine and ibox is referenced by both ExportState and
+// ImportState or exempted at its declaration with the reason it need not
+// travel; the statecomplete analyzer (DESIGN.md §11) holds each
+// stateful type to that in tier-1, so a new field cannot be silently
+// dropped from the snapshot.
 
 // IBState is the serialized state of the I-Fetch unit.
 type IBState struct {
@@ -38,6 +40,36 @@ type IBState struct {
 	TBMissVA      uint32
 	Advanced      uint64
 	Stats         IBStats
+}
+
+// ExportState captures the I-Fetch unit's fill state and counters.
+func (ib *ibox) ExportState() IBState {
+	return IBState{
+		Ptr:           ib.ptr,
+		Valid:         ib.valid,
+		FillPending:   ib.fillPending,
+		FillDone:      ib.fillDone,
+		FillBytes:     ib.fillBytes,
+		TBMissPending: ib.tbMissPending,
+		TBMissVA:      ib.tbMissVA,
+		Advanced:      ib.advanced,
+		Stats:         ib.stats,
+	}
+}
+
+// ImportState restores a captured I-Fetch state. The frame window is
+// derived, not restored: Machine.ImportState drops it with the MMU
+// registers it writes, and the next peek retakes it.
+func (ib *ibox) ImportState(st IBState) {
+	ib.ptr = st.Ptr
+	ib.valid = st.Valid
+	ib.fillPending = st.FillPending
+	ib.fillDone = st.FillDone
+	ib.fillBytes = st.FillBytes
+	ib.tbMissPending = st.TBMissPending
+	ib.tbMissVA = st.TBMissVA
+	ib.advanced = st.Advanced
+	ib.stats = st.Stats
 }
 
 // State is the complete serialized run state of a Machine.
@@ -63,8 +95,7 @@ type State struct {
 	// Machine-check latch.
 	MCPending bool
 	MCActive  bool
-	MCCause   MCCause
-	MCInfo    uint32
+	PendMC    PendingMC
 
 	// Hardware event counters.
 	HW HWCounters
@@ -89,21 +120,11 @@ func (m *Machine) ExportState() (State, error) {
 		return State{}, fmt.Errorf("cpu: cannot checkpoint a halted machine (%v)", m.haltReason)
 	}
 	st := State{
-		R:   m.R,
-		PSL: m.PSL,
-		IPR: m.ipr,
-		MMU: m.MMU,
-		IB: IBState{
-			Ptr:           m.ib.ptr,
-			Valid:         m.ib.valid,
-			FillPending:   m.ib.fillPending,
-			FillDone:      m.ib.fillDone,
-			FillBytes:     m.ib.fillBytes,
-			TBMissPending: m.ib.tbMissPending,
-			TBMissVA:      m.ib.tbMissVA,
-			Advanced:      m.ib.advanced,
-			Stats:         m.ib.stats,
-		},
+		R:            m.R,
+		PSL:          m.PSL,
+		IPR:          m.ipr,
+		MMU:          m.MMU,
+		IB:           m.ib.ExportState(),
 		Cycle:        m.cycle,
 		Instret:      m.instret,
 		UPC:          m.upc,
@@ -115,9 +136,8 @@ func (m *Machine) ExportState() (State, error) {
 		WDLastRetire: m.wdLastRetire,
 		MCPending:    m.mcPending,
 		MCActive:     m.mcActive,
-		MCCause:      m.pendMC.cause,
-		MCInfo:       m.pendMC.info,
-		HW:           m.HW(),
+		PendMC:       m.pendMC,
+		HW:           m.hw,
 		Mem:          m.Mem.ExportState(),
 		SBI:          m.SBI.ExportState(),
 		WB:           m.WB.ExportState(),
@@ -149,15 +169,7 @@ func (m *Machine) ImportState(st State) error {
 	m.ipr = st.IPR
 	m.MMU = st.MMU
 	m.ib.dropWindow()
-	m.ib.ptr = st.IB.Ptr
-	m.ib.valid = st.IB.Valid
-	m.ib.fillPending = st.IB.FillPending
-	m.ib.fillDone = st.IB.FillDone
-	m.ib.fillBytes = st.IB.FillBytes
-	m.ib.tbMissPending = st.IB.TBMissPending
-	m.ib.tbMissVA = st.IB.TBMissVA
-	m.ib.advanced = st.IB.Advanced
-	m.ib.stats = st.IB.Stats
+	m.ib.ImportState(st.IB)
 	m.cycle = st.Cycle
 	m.instret = st.Instret
 	m.upc = st.UPC
@@ -167,17 +179,10 @@ func (m *Machine) ImportState(st State) error {
 	m.lastPCChange = st.LastPCChange
 	m.patchCtr = st.PatchCtr
 	m.wdLastRetire = st.WDLastRetire
-	m.pendMC = pendingMC{cause: st.MCCause, info: st.MCInfo}
+	m.pendMC = st.PendMC
 	m.mcPending = st.MCPending
 	m.mcActive = st.MCActive
-	m.unaligned = st.HW.Unaligned
-	m.sirrRequests = st.HW.SIRRRequests
-	m.irqDelivered = st.HW.Interrupts
-	m.exceptions = st.HW.Exceptions
-	m.ctxSwitches = st.HW.CtxSwitches
-	m.machineChecks = st.HW.MachineChecks
-	m.mcLost = st.HW.MachineChecksLost
-	m.mcByCause = st.HW.MachineChecksByCause
+	m.hw = st.HW
 
 	// A snapshot is only taken from a running machine.
 	m.halted = false
@@ -205,7 +210,7 @@ func (m *Machine) StateDump() string {
 		m.ib.ptr, m.ib.valid, m.ib.fillPending, m.ib.tbMissPending)
 	if m.mcPending || m.mcActive {
 		fmt.Fprintf(&b, "\n  mcheck: pending=%v active=%v cause=%v info=%#x",
-			m.mcPending, m.mcActive, m.pendMC.cause, m.pendMC.info)
+			m.mcPending, m.mcActive, m.pendMC.Cause, m.pendMC.Info)
 	}
 	return b.String()
 }

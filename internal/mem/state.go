@@ -12,8 +12,9 @@ import (
 // construction or attachment time (timing config, injectors) are not part
 // of the state: the resume path reconstructs the structure first and then
 // imports into it. MemoryState.Size records the array size only so that
-// ImportState can refuse a state taken from a different one. The completeness test in internal/checkpoint walks
-// the live structs field by field against these state structs.
+// ImportState can refuse a state taken from a different one. The
+// statecomplete analyzer holds each live struct to these state structs
+// field by field.
 
 // MemoryState is the serialized state of the physical memory array. It
 // carries only the 512-byte page frames that hold a non-zero byte: Frames

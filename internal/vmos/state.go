@@ -3,6 +3,8 @@ package vmos
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 
 	"vax780/internal/cpu"
 )
@@ -13,7 +15,8 @@ import (
 // kernel image, the SCB — lives in (checkpointed) physical memory or is
 // rebuilt deterministically by the resume path, which reconstructs the
 // System from the same Config and process set before importing. The
-// completeness test in internal/checkpoint enforces the split.
+// statecomplete analyzer holds System to the split: every field is
+// captured below or exempted at its declaration.
 
 // State is the serialized post-boot scheduler and device state.
 type State struct {
@@ -24,11 +27,29 @@ type State struct {
 	DiskDue    []uint64
 	LastCycle  uint64
 	LastPCB    uint32
-	CPUTime    map[uint32]uint64
+	CPUTime    []ProcTime // sorted by PCB
 }
 
-// ExportState captures the scheduler and device state (slices and maps
-// are copied; the system can keep running).
+// ProcTime is the CPU time charged to one process: the cycles spent
+// while the process at PCB was resident.
+type ProcTime struct {
+	PCB    uint32
+	Cycles uint64
+}
+
+// charge adds cycles to pcb's entry of t, inserting the entry in PCB
+// order if it is new, and returns the table.
+func charge(t []ProcTime, pcb uint32, cycles uint64) []ProcTime {
+	i := sort.Search(len(t), func(i int) bool { return t[i].PCB >= pcb })
+	if i == len(t) || t[i].PCB != pcb {
+		t = slices.Insert(t, i, ProcTime{PCB: pcb})
+	}
+	t[i].Cycles += cycles
+	return t
+}
+
+// ExportState captures the scheduler and device state (slices are
+// copied; the system can keep running).
 func (s *System) ExportState() (State, error) {
 	if !s.booted {
 		return State{}, fmt.Errorf("vmos: cannot checkpoint before boot")
@@ -41,18 +62,14 @@ func (s *System) ExportState() (State, error) {
 		DiskDue:    append([]uint64(nil), s.diskDue...),
 		LastCycle:  s.lastCycle,
 		LastPCB:    s.lastPCB,
-		CPUTime:    make(map[uint32]uint64, len(s.cpuTime)+1),
-	}
-	//vaxlint:allow determinism -- map-to-map copy: the result is a map again, so iteration order cannot reach the snapshot bytes or any simulated state
-	for pcb, t := range s.cpuTime {
-		st.CPUTime[pcb] = t
+		CPUTime:    slices.Clone(s.cpuTime),
 	}
 	// The resident process's charge since it became resident is still
 	// pending; the snapshot holds it folded in, as the table it replaces
 	// did. (pend is zero only right after a switch, when that table had
 	// not yet charged the new process either.)
 	if s.pend != 0 {
-		st.CPUTime[s.lastPCB] += s.pend
+		st.CPUTime = charge(st.CPUTime, s.lastPCB, s.pend)
 	}
 	return st, nil
 }
@@ -72,11 +89,7 @@ func (s *System) ImportState(st State) error {
 	s.lastCycle = st.LastCycle
 	s.lastPCB = st.LastPCB
 	s.pend = 0
-	s.cpuTime = make(map[uint32]uint64, len(st.CPUTime))
-	//vaxlint:allow determinism -- map-to-map copy: the restored accounting table is order-independent; no simulated state observes the iteration
-	for pcb, t := range st.CPUTime {
-		s.cpuTime[pcb] = t
-	}
+	s.cpuTime = slices.Clone(st.CPUTime)
 	return nil
 }
 

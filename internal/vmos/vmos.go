@@ -94,7 +94,7 @@ type System struct {
 	lastCycle uint64
 	lastPCB   uint32
 	pend      uint64
-	cpuTime   map[uint32]uint64 // PCB -> cycles charged
+	cpuTime   []ProcTime // cycles charged per PCB, sorted by PCB
 
 	booted bool
 }
@@ -324,7 +324,6 @@ func (s *System) Boot() error {
 
 	s.nextClock = s.cfg.ClockInterval
 	s.diskReqPA = kernPhys + kern.MustAddr("diskreq") - kern.Org
-	s.cpuTime = make(map[uint32]uint64)
 	s.lastPCB = s.m.IPR(cpu.IPRSlotPCBB)
 	s.m.OnInstruction = s.onInstruction
 	s.booted = true
@@ -396,7 +395,7 @@ func (s *System) onInstruction(m *cpu.Machine) {
 //
 //vaxlint:allow hotpath -- cold: runs only when the resident PCB changes, i.e. on a context switch (a Table 7 event), not per instruction
 func (s *System) switchAccount(pcb uint32) {
-	s.cpuTime[s.lastPCB] += s.pend
+	s.cpuTime = charge(s.cpuTime, s.lastPCB, s.pend)
 	s.pend = 0
 	s.lastPCB = pcb
 }
@@ -446,7 +445,12 @@ func (s *System) MachineCheckCause(cause cpu.MCCause) uint32 {
 // spent on its behalf; interrupt service is charged to whoever was
 // resident, as with simple OS accounting).
 func (s *System) CPUTime(p *Process) uint64 {
-	t := s.cpuTime[p.PCB]
+	var t uint64
+	for _, e := range s.cpuTime {
+		if e.PCB == p.PCB {
+			t = e.Cycles
+		}
+	}
 	if p.PCB == s.lastPCB {
 		t += s.pend
 	}

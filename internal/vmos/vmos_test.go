@@ -263,7 +263,14 @@ func TestCPUAccountingMatchesPerInstructionTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(st.CPUTime, want) {
+		got := map[uint32]uint64{}
+		for j, e := range st.CPUTime {
+			if j > 0 && st.CPUTime[j-1].PCB >= e.PCB {
+				t.Fatalf("boundary %d: snapshot CPUTime not in PCB order: %v", i, st.CPUTime)
+			}
+			got[e.PCB] = e.Cycles
+		}
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("boundary %d: snapshot CPUTime %v, per-instruction table %v", i, st.CPUTime, want)
 		}
 		for _, p := range s.Processes() {

@@ -182,12 +182,10 @@ func restore(snap *checkpoint.Snapshot) (*session, error) {
 	if !ok {
 		return nil, fmt.Errorf("workload: snapshot is of unknown workload %q", snap.Meta.Profile)
 	}
-	if snap.Meta.Seed != 0 {
-		// Fleet instances run the registry profile under a derived seed;
-		// rebuilding with the registry default would resume a different
-		// program. Zero means a pre-Seed-field snapshot: registry default.
-		p.Seed = snap.Meta.Seed
-	}
+	// Fleet instances run the registry profile under a derived seed;
+	// rebuilding with the registry default would resume a different
+	// program.
+	p.Seed = snap.Meta.Seed
 	var plane *fault.Plane
 	if snap.Meta.Fault != nil {
 		plane = fault.NewPlane(*snap.Meta.Fault)

@@ -222,6 +222,41 @@ func TestSnapshotSize(t *testing.T) {
 	t.Logf("snapshot %d bytes, %d of %d frames non-zero", buf.Len(), nonZero, mem.Size()/512)
 }
 
+// TestEqualRunsEncodeIdentically: snapshots of two equal runs, each
+// encoded several times, are byte-identical. A map anywhere in the
+// snapshot fails here, since gob writes maps in random order.
+func TestEqualRunsEncodeIdentically(t *testing.T) {
+	const cycles = 600_000
+	var first []byte
+	for run := 0; run < 2; run++ {
+		s, err := Prepare(RTECommercial, cycles, cpu.Config{})
+		if err != nil {
+			t.Fatalf("prepare: %v", err)
+		}
+		if res := s.Run(cycles); res.Err != nil || res.Halted {
+			t.Fatalf("run: err=%v halted=%v", res.Err, res.Halted)
+		}
+		snap, err := s.s.snapshot(nil)
+		if err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		if len(snap.OS.CPUTime) < 2 {
+			t.Fatalf("snapshot charges %d processes; the check needs several", len(snap.OS.CPUTime))
+		}
+		for i := 0; i < 4; i++ {
+			var buf bytes.Buffer
+			if err := checkpoint.Encode(&buf, snap); err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			if first == nil {
+				first = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), first) {
+				t.Fatalf("run %d, encoding %d: snapshot bytes differ from the first encoding", run, i)
+			}
+		}
+	}
+}
+
 // TestSupervisedDeadline: an effectively-zero wall-clock budget stops the
 // run almost immediately with a final checkpoint and a typed
 // interruption whose cause is the deadline.
