@@ -27,7 +27,7 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# All sixteen analyzers, human-readable; vet is its own target above.
+# All fourteen analyzers, human-readable; vet is its own target above.
 # Tier-1 runs the same suite over the tree as TestTreeClean
 # (internal/analysis), which fails `go test ./...` on any finding.
 vaxlint:

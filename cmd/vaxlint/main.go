@@ -1,6 +1,5 @@
 // Command vaxlint statically proves the simulator's invariants with
-// sixteen analyzers: microword name references ↔ control-store
-// declarations, paper headline numbers ↔ internal/paper, the
+// fourteen analyzers: paper headline numbers ↔ internal/paper, the
 // single-threaded Machine/probe contract, determinism of the measurement
 // core (no wall clock, no global rand, no map iteration reachable from
 // the simulation loop, serializers or checkpoint paths), checkpoint
@@ -11,8 +10,7 @@
 // (hotpath/hotbox), and the concflow concurrency contracts over the
 // farm: every spawned goroutine has a guaranteed exit path (goleak),
 // every channel exactly one closing owner with no send reachable after
-// the close (chanprot), every blocking op in context-carrying code
-// cancellation-guarded (ctxflow), and worker-owned state untouched
+// the close (chanprot), and worker-owned state untouched
 // outside its goroutine until the merge barrier (onewriter) — and the
 // latency-oracle derivation (ulat): static per-opcode microcycle bounds
 // from every registered microroutine, with every register() opcode

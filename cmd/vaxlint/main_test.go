@@ -14,12 +14,12 @@ import (
 func TestSelectAnalyzers(t *testing.T) {
 	all := analysis.All()
 
-	got, err := selectAnalyzers("goleak, ctxflow", all)
+	got, err := selectAnalyzers("goleak, onewriter", all)
 	if err != nil {
 		t.Fatalf("valid spec errored: %v", err)
 	}
-	if len(got) != 2 || got[0].Name != "goleak" || got[1].Name != "ctxflow" {
-		t.Fatalf("selectAnalyzers picked %v, want [goleak ctxflow]", got)
+	if len(got) != 2 || got[0].Name != "goleak" || got[1].Name != "onewriter" {
+		t.Fatalf("selectAnalyzers picked %v, want [goleak onewriter]", got)
 	}
 
 	_, err = selectAnalyzers("gloeak", all)

@@ -4,10 +4,9 @@
 //
 // The model's fidelity to Emer & Clark rests on cross-file invariants —
 // every opcode in internal/vax's opTable must have exactly one register()ed
-// execute microroutine in internal/cpu, every microword name referenced by
-// the reduction engine must resolve in the control-store map built by
-// internal/cpu/cs.go, the paper's headline numbers must live only in
-// internal/paper, and the Machine/Probe pair is single-threaded. These are
+// execute microroutine in internal/cpu, every microword must be counted on
+// the channel its class names, the paper's headline numbers must live only
+// in internal/paper, and the Machine/Probe pair is single-threaded. These are
 // otherwise enforced by runtime panics or not at all; the analyzers in
 // this package prove them at build time.
 //
@@ -207,23 +206,23 @@ func runOne(a *Analyzer, pkgs []*Package, sharedFset *token.FileSet, allows allo
 	return diags, nil
 }
 
-// All is the vaxlint suite in reporting order: the three cross-table
+// All is the vaxlint suite in reporting order: the two cross-table
 // analyzers from the original suite, the four determinism-contract
 // analyzers built on the fact layer, the two µflow attribution
 // analyzers built on the CFG + dataflow layer (cfg.go, dataflow.go,
 // uwmodel.go), the two hot-path perf-contract analyzers built on the
 // callgraph's function-value and interface approximations (hotset.go),
-// the four concflow concurrency-contract analyzers built on the
+// the three concflow concurrency-contract analyzers built on the
 // goroutine/channel model (concmodel.go), and the ulat latency-oracle
 // derivation (ulat.go) that pins every microroutine's static cycle
 // bounds and owns the opcode-registration and Table 8 row checks.
 func All() []*Analyzer {
 	return []*Analyzer{
-		UWRef, PaperConst, ProbeSafe,
+		PaperConst, ProbeSafe,
 		Determinism, StateComplete, TypedErr, Exhaustive,
 		UWFlow, UWDead,
 		HotPath, HotBox,
-		GoLeak, ChanProt, CtxFlow, OneWriter,
+		GoLeak, ChanProt, OneWriter,
 		ULat,
 	}
 }

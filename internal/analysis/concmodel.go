@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// Goroutine/channel model, the substrate of the four concflow analyzers
-// (goleak.go, chanprot.go, ctxflow.go, onewriter.go). Three pieces:
+// Goroutine/channel model, the substrate of the three concflow analyzers
+// (goleak.go, chanprot.go, onewriter.go). Three pieces:
 //
 //   - spawnedFuncs: which function bodies execute on spawned goroutines —
 //     the closure of every `go` statement's target over same-package

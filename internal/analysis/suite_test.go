@@ -11,10 +11,6 @@ import (
 	"vax780/internal/analysis/analysistest"
 )
 
-func TestUWRef(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.UWRef, "uwref")
-}
-
 func TestPaperConst(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.PaperConst, "paperconst")
 }
@@ -72,21 +68,17 @@ func TestChanProt(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.ChanProt, "chanprot")
 }
 
-func TestCtxFlow(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.CtxFlow, "ctxflow")
-}
-
 func TestOneWriter(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.OneWriter, "onewriter")
 }
 
-// TestConcClean proves all four concflow analyzers stay silent on a
+// TestConcClean proves the three concflow analyzers stay silent on a
 // miniature farm that honors every contract: the worker exits when the
 // jobs channel closes, the channel has one closing owner, and the merge
 // happens across the Wait barrier.
 func TestConcClean(t *testing.T) {
 	for _, a := range []*analysis.Analyzer{
-		analysis.GoLeak, analysis.ChanProt, analysis.CtxFlow, analysis.OneWriter,
+		analysis.GoLeak, analysis.ChanProt, analysis.OneWriter,
 	} {
 		analysistest.Run(t, "testdata", a, "concclean")
 	}
@@ -95,8 +87,8 @@ func TestConcClean(t *testing.T) {
 // TestSuiteSize pins the suite's advertised size: growing it without
 // updating the docs (README, Makefile) should fail loudly here.
 func TestSuiteSize(t *testing.T) {
-	if got := len(analysis.All()); got != 16 {
-		t.Fatalf("analysis.All() reports %d analyzers, want 16", got)
+	if got := len(analysis.All()); got != 14 {
+		t.Fatalf("analysis.All() reports %d analyzers, want 14", got)
 	}
 }
 

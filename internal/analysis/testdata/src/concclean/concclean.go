@@ -1,8 +1,7 @@
-// Package concclean is the shared clean negative for all four concflow
+// Package concclean is the shared clean negative for the three concflow
 // analyzers: a miniature coordinator/worker farm that honors every
 // contract — the worker exits when jobs closes, jobs has one closing
-// owner, no ctx means no cancellation obligation, and the total is read
-// only across the Wait barrier.
+// owner, and the total is read only across the Wait barrier.
 package concclean
 
 // WaitGroup models sync.WaitGroup (matched by type name).

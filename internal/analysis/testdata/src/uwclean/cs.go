@@ -13,7 +13,6 @@ type Machine struct {
 func (m *Machine) tick(w uint16)            { m.counts[w]++ }
 func (m *Machine) ticks(w uint16, n uint64) { m.counts[w] += n }
 func (m *Machine) stall(w uint16, c uint64) { m.stalls[w] += c }
-func (m *Machine) ibStallTick(w uint16)     { m.counts[w]++ }
 func (m *Machine) tickFree(w uint16)        { m.counts[w]++ }
 
 var cs = uwucode.NewStore()
@@ -35,6 +34,6 @@ func pump(m *Machine, wait uint64) {
 		m.stall(uw.rd, wait)
 	}
 	m.tick(uw.rd)
-	m.ibStallTick(uw.ib)
+	m.tick(uw.ib)
 	m.tickFree(uw.mark)
 }

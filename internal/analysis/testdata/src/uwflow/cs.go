@@ -15,7 +15,6 @@ type Machine struct {
 func (m *Machine) tick(w uint16)            { m.counts[w]++ }
 func (m *Machine) ticks(w uint16, n uint64) { m.counts[w] += n }
 func (m *Machine) stall(w uint16, c uint64) { m.stalls[w] += c }
-func (m *Machine) ibStallTick(w uint16)     { m.counts[w]++ }
 func (m *Machine) tickFree(w uint16)        { m.counts[w]++ }
 
 type Probe interface {

@@ -10,7 +10,7 @@ func good(m *Machine, p Probe, n int) {
 		m.stall(uw.rd, uint64(n))
 	}
 	m.tick(uw.rd) // the conditional stall reaches the tick across the join
-	m.ibStallTick(uw.ib)
+	m.tick(uw.ib)
 	m.tickFree(uw.mark)
 	p.Count(uw.compute, 1)
 }
@@ -25,11 +25,10 @@ func loopPair(m *Machine) {
 }
 
 func bad(m *Machine, p Probe) {
-	m.tick(uw.ib)             // want `ClassIBStall microword \(flow\.ib\) counted on the exec channel; ClassIBStall words are counted only on ibstall`
-	m.tick(uw.mark)           // want `ClassMarker microword \(flow\.mark\) counted on the exec channel`
-	m.tick(uw.rd)             // want `read/write-class microword \(flow\.rd\) ticked with no stall accounting for it on any path`
-	m.ibStallTick(uw.compute) // want `ClassCompute microword \(flow\.compute\) counted on the ibstall channel`
-	p.Stall(uw.compute, 2)    // want `ClassCompute microword \(flow\.compute\) counted on the stall channel`
+	m.stall(uw.ib, 1)      // want `ClassIBStall microword \(flow\.ib\) counted on the stall channel; ClassIBStall words are counted only on exec`
+	m.tick(uw.mark)        // want `ClassMarker microword \(flow\.mark\) counted on the exec channel`
+	m.tick(uw.rd)          // want `read/write-class microword \(flow\.rd\) ticked with no stall accounting for it on any path`
+	p.Stall(uw.compute, 2) // want `ClassCompute microword \(flow\.compute\) counted on the stall channel`
 }
 
 // stallAfter accounts the stall only after the tick: both sites exist,

@@ -5,19 +5,18 @@ import "sort"
 // UWFlow proves that every microword is counted on the channel its
 // declared ucode.Class permits. The paper's Table 8 is a Row×Class
 // matrix whose cells are filled by *which* counting primitive fired —
-// execution ticks, read/write stall accounting, the dedicated IB-stall
-// locations — so a word counted on the wrong channel corrupts a cell
-// silently: the histogram stays internally consistent and no test that
-// sums cycles can notice. Per class:
+// execution ticks, read/write stall accounting, folded markers — so a
+// word counted on the wrong channel corrupts a cell silently: the
+// histogram stays internally consistent and no test that sums cycles can
+// notice. Per class:
 //
-//   - ClassCompute / ClassDispatch words may only be executed
-//     (tick/ticks);
+//   - ClassCompute / ClassDispatch / ClassIBStall words may only be
+//     executed (tick/ticks); an IB-stall word is §4.3's dedicated
+//     instruction-buffer stall location, ticked once per waiting cycle;
 //   - ClassRead / ClassWrite words may tick and stall, but an execution
 //     tick must have stall accounting for the same word reachable on
 //     some path to it (the paper's memory-reference words are exactly
 //     the ones that can wait on the cache and the UNIBUS);
-//   - ClassIBStall words are counted only by ibStallTick (§4.3's
-//     dedicated instruction-buffer stall locations);
 //   - ClassMarker words are counted only by tickFree — they mark folded
 //     cycles and must stay invisible to the paid channels outside the
 //     folded-marker ablation.
@@ -28,7 +27,7 @@ import "sort"
 // model cannot interpret is silent rather than a false finding.
 var UWFlow = &Analyzer{
 	Name: "uwflow",
-	Doc:  "microword class must match its count channel (ticks vs stalls vs IB-stall vs folded markers)",
+	Doc:  "microword class must match its count channel (ticks vs stalls vs folded markers)",
 	Run:  runUWFlow,
 }
 
@@ -38,7 +37,7 @@ var uwAllowedChannels = map[string]map[uwChannel]bool{
 	"ClassDispatch": {chExec: true},
 	"ClassRead":     {chExec: true, chStall: true},
 	"ClassWrite":    {chExec: true, chStall: true},
-	"ClassIBStall":  {chIBStall: true},
+	"ClassIBStall":  {chExec: true},
 	"ClassMarker":   {chFree: true},
 }
 

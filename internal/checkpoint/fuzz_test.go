@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"flag"
 	"testing"
 )
 
@@ -10,7 +11,25 @@ import (
 // snapshot, and a snapshot it returns re-encodes successfully (no
 // half-valid states escape). Seeds cover the interesting neighborhoods:
 // a pristine snapshot, truncations, and bit flips in each region.
+//
+// When an input reaches new coverage, the fuzzing engine minimizes it
+// before fuzzing on: it drops bytes while the new coverage holds. Here
+// coverage follows the input's length (the checksum's block loop, the
+// length check's error text), so no shorter candidate keeps it and the
+// minimizer tries all ~n²/2 of them. At the default budget of 60 s per
+// input that search holds every worker for the rest of a short
+// -fuzztime at 0 execs/sec, so minimization gets minimizeExecs
+// candidates unless the command line sets -fuzzminimizetime.
 func FuzzCheckpointLoad(f *testing.F) {
+	const minimizeFlag, minimizeExecs = "test.fuzzminimizetime", "500x"
+	chosen := false
+	flag.Visit(func(fl *flag.Flag) { chosen = chosen || fl.Name == minimizeFlag })
+	if !chosen {
+		if err := flag.Set(minimizeFlag, minimizeExecs); err != nil {
+			f.Fatalf("bounding minimization: %v", err)
+		}
+	}
+
 	var buf bytes.Buffer
 	if err := Encode(&buf, testSnapshot(42_000)); err != nil {
 		f.Fatalf("Encode: %v", err)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -338,6 +340,50 @@ func TestReduceEmptyHistogram(t *testing.T) {
 	}
 	if r.TBMiss.CyclesPerMiss() != 0 {
 		t.Error("empty TB miss stats should be zero")
+	}
+}
+
+// storeWithout copies cpu.CS's words into a new store, leaving out one.
+func storeWithout(omit string) *ucode.Store {
+	s := ucode.NewStore()
+	for _, w := range cpu.CS.Words()[1:] {
+		if w.Name != omit {
+			s.Define(w.Name, w.Row, w.Class)
+		}
+	}
+	return s
+}
+
+// reducePanic runs Reduce on an empty histogram and returns what it
+// panicked with, or nil.
+func reducePanic(cs *ucode.Store) (p any) {
+	defer func() { p = recover() }()
+	Reduce(&Histogram{}, cs)
+	return nil
+}
+
+// TestReduceMissingMicroword: a name the reduction reads that the store
+// does not define panics, naming it, rather than reading a zero cell.
+func TestReduceMissingMicroword(t *testing.T) {
+	for _, name := range []string{
+		"decode.ird", "exec.br.case.taken", "exec.br.bsb.entry",
+		"spec1.disp." + vax.ModeAutoInc.String(), "spec26.index",
+		"exec.sys.mtpr.sirr", "mm.tbmiss.read",
+	} {
+		p := reducePanic(storeWithout(name))
+		msg, _ := p.(string)
+		if !strings.Contains(msg, fmt.Sprintf("%q", name)) || !strings.Contains(msg, "nearest") {
+			t.Errorf("Reduce without %q: panic %v, want one naming it and its nearest neighbour", name, p)
+		}
+	}
+	// Leaving out any other word either changes nothing the tables read
+	// or panics naming that word.
+	for _, w := range cpu.CS.Words()[1:] {
+		if p := reducePanic(storeWithout(w.Name)); p != nil {
+			if msg, _ := p.(string); !strings.Contains(msg, fmt.Sprintf("%q", w.Name)) {
+				t.Errorf("Reduce without %q panicked about something else: %v", w.Name, p)
+			}
+		}
 	}
 }
 

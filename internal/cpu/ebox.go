@@ -360,7 +360,7 @@ func (m *Machine) ibFill(n int, stallW uint16) {
 			m.tbMissService(m.ib.tbMissVA, tb.IStream)
 			continue
 		}
-		m.ibStallTick(stallW)
+		m.tick(stallW) // one cycle waiting for IB bytes at the dedicated stall location (§4.3)
 		if i > guard {
 			m.fail("IB wait for %d bytes did not complete at pc %#x", n, m.ib.ptr)
 			return

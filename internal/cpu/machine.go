@@ -281,14 +281,9 @@ func (m *Machine) stall(w uint16, n uint64) {
 	m.count(w, n, true)
 }
 
-// ibStallTick burns one cycle waiting for IB bytes, counted as an
-// execution of the dedicated stall location w (§4.3).
-func (m *Machine) ibStallTick(w uint16) { m.count(w, 1, false) }
-
 // count is the epilogue every counting primitive shares: n cycles at w,
 // reported to a gated probe as stalled or executed, then the clock and
-// the progress watchdog advance. The primitives keep their own names —
-// uwflow tells the count channels apart by the primitive called.
+// the progress watchdog advance.
 func (m *Machine) count(w uint16, n uint64, stalled bool) {
 	m.upc = w
 	if m.probe != nil && m.gate {

@@ -100,10 +100,6 @@ type Config struct {
 	// CheckpointEvery is the per-instance checkpoint period in cycles
 	// (workload.DefaultCheckpointEvery when zero).
 	CheckpointEvery uint64
-	// Watchdog is the per-instance progress watchdog budget in cycles
-	// (workload.DefaultWatchdogCycles when zero): a wedged instance
-	// becomes a typed failure, not a stuck worker.
-	Watchdog uint64
 	// Retries caps how many times one instance is re-attempted after a
 	// failure before it is shed (default 2). Rescues after worker death
 	// do not count against it — they are the farm's fault.
@@ -112,10 +108,10 @@ type Config struct {
 	// every further failure sheds its instance immediately (graceful
 	// degradation instead of retry storms). Default: Instances.
 	FailureBudget int
-	// BackoffBase and BackoffCap shape the capped exponential backoff
-	// before a failed instance is retried (defaults 50ms and 2s).
+	// BackoffBase starts the exponential backoff before a failed
+	// instance is retried (default 50ms); it doubles per attempt up to
+	// backoffCap.
 	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Deadline bounds the farm's wall-clock time (none when zero); an
 	// expired deadline checkpoints every live instance and returns
 	// *Interrupted, exactly like a signal.
@@ -145,9 +141,6 @@ func (c Config) normalized() Config {
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 50 * time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 2 * time.Second
 	}
 	return c
 }
@@ -453,7 +446,7 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 				default:
 					ev.inst.status = StatusPending
 					ev.inst.cycle = ev.cycles
-					delay := backoff(cfg.BackoffBase, cfg.BackoffCap, ev.inst.attempts)
+					delay := backoff(cfg.BackoffBase, ev.inst.attempts)
 					delayed = append(delayed, delayedRetry{at: time.Now().Add(delay), inst: ev.inst})
 				}
 
@@ -480,7 +473,10 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 		retryTimer.Stop()
 	}
 	close(dispatch)
-	//vaxlint:allow ctxflow -- bounded: dispatch just closed above, so every worker falls out of its range loop after at most one in-flight attempt, and attempts themselves are ctx-supervised via workload.RunSupervised.
+	// Bounded without ctx: dispatch just closed above, so every worker
+	// falls out of its range loop after at most one in-flight attempt,
+	// and attempts themselves are ctx-supervised via
+	// workload.RunSupervised.
 	wg.Wait()
 
 	res := f.merge(workers, resumed, resumedCycles)
@@ -504,16 +500,16 @@ func peek(queue []*instance) *instance {
 	return queue[0]
 }
 
+// backoffCap bounds the exponential retry delay.
+const backoffCap = 2 * time.Second
+
 // backoff is the capped exponential retry delay for attempt n (1-based).
-func backoff(base, cap time.Duration, attempt int) time.Duration {
+func backoff(base time.Duration, attempt int) time.Duration {
 	d := base
-	for i := 1; i < attempt && d < cap; i++ {
+	for i := 1; i < attempt && d < backoffCap; i++ {
 		d *= 2
 	}
-	if d > cap {
-		d = cap
-	}
-	return d
+	return min(d, backoffCap)
 }
 
 // merge folds the per-worker local stores into per-profile sums and one

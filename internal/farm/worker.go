@@ -52,9 +52,8 @@ type worker struct {
 	events   chan<- event
 	wg       *sync.WaitGroup
 
-	machine  cpu.Config
-	every    uint64 // checkpoint period (cycles)
-	watchdog uint64
+	machine cpu.Config
+	every   uint64 // checkpoint period (cycles)
 
 	// Kill plumbing. killAfter is the scripted chaos switch: die after
 	// that many chunk callbacks, cumulative across instances (0 = never).
@@ -78,7 +77,6 @@ func newWorker(id int, f *Farm, ctx context.Context, dispatch <-chan *instance,
 		wg:       wg,
 		machine:  f.cfg.Machine,
 		every:    f.cfg.CheckpointEvery,
-		watchdog: f.cfg.Watchdog,
 		kill:     &f.kills[id],
 		local:    make([]*core.Histogram, len(f.profiles)),
 	}
@@ -98,10 +96,15 @@ func newWorker(id int, f *Farm, ctx context.Context, dispatch <-chan *instance,
 // the in-flight instance) and returns without draining the channel.
 func (w *worker) loop() {
 	defer w.wg.Done()
-	//vaxlint:allow ctxflow -- dispatch has exactly one closing owner (Farm.Run, proved by chanprot), and Run closes it on every exit path including pause; the range terminates without needing ctx.
+	// No ctx guard: dispatch has exactly one closing owner (Farm.Run,
+	// proved by chanprot), and Run closes it on every exit path
+	// including pause, so the range terminates without needing ctx.
 	for inst := range w.dispatch {
 		ev, dead := w.attempt(inst)
-		//vaxlint:allow ctxflow -- the coordinator drains events unconditionally until outstanding==0, even while paused; guarding this send with ctx would drop the completion event Run's accounting is waiting for.
+		// No ctx guard: the coordinator drains events unconditionally
+		// until outstanding==0, even while paused; guarding this send
+		// with ctx would drop the completion event Run's accounting is
+		// waiting for.
 		w.events <- ev
 		if dead {
 			return
@@ -134,7 +137,6 @@ func (w *worker) attempt(inst *instance) (ev event, dead bool) {
 	sup := workload.Supervisor{
 		CheckpointDir:   inst.dir,
 		CheckpointEvery: w.every,
-		Watchdog:        w.watchdog,
 		OnChunk: func(cycle uint64) {
 			lastCycle = cycle
 			w.chunks++

@@ -59,12 +59,6 @@ type Supervisor struct {
 	// CheckpointEvery is the auto-checkpoint period in cycles
 	// (DefaultCheckpointEvery when zero).
 	CheckpointEvery uint64
-	// Keep is the number of snapshot generations retained
-	// (checkpoint.DefaultKeep when zero).
-	Keep int
-	// Watchdog is the progress watchdog budget in cycles
-	// (DefaultWatchdogCycles when zero).
-	Watchdog uint64
 	// Deadline is the wall-clock run budget (none when zero). An expired
 	// deadline checkpoints and returns *Interrupted.
 	Deadline time.Duration
@@ -132,7 +126,7 @@ func RunSupervised(ctx context.Context, spec Spec, sup Supervisor) (*Result, err
 // the resumable composite and the farm's instance attempts.
 func RunOrResume(ctx context.Context, spec Spec, sup Supervisor) (*Result, error) {
 	if sup.CheckpointDir != "" {
-		d, err := checkpoint.Open(sup.CheckpointDir, sup.Keep)
+		d, err := checkpoint.Open(sup.CheckpointDir, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +147,7 @@ func RunOrResume(ctx context.Context, spec Spec, sup Supervisor) (*Result, error
 // Unless sup.CheckpointDir says otherwise, further checkpoints go back
 // to dir.
 func ResumeSupervised(ctx context.Context, dir string, sup Supervisor) (*Result, error) {
-	d, err := checkpoint.Open(dir, sup.Keep)
+	d, err := checkpoint.Open(dir, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -237,16 +231,12 @@ func (s *session) snapshot(fcfg *fault.Config) (*checkpoint.Snapshot, error) {
 // cancellation, deadline, StopAt, completion, or machine failure.
 func (s *session) supervise(ctx context.Context, fcfg *fault.Config, sup Supervisor) (*Result, error) {
 	m := s.sys.Machine()
-	wd := sup.Watchdog
-	if wd == 0 {
-		wd = DefaultWatchdogCycles
-	}
-	m.SetWatchdog(wd)
+	m.SetWatchdog(DefaultWatchdogCycles)
 
 	var dir *checkpoint.Dir
 	if sup.CheckpointDir != "" {
 		var err error
-		dir, err = checkpoint.Open(sup.CheckpointDir, sup.Keep)
+		dir, err = checkpoint.Open(sup.CheckpointDir, 0)
 		if err != nil {
 			return nil, err
 		}
